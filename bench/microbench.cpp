@@ -327,6 +327,55 @@ BENCHMARK(BM_PpoEpoch)
     ->ArgNames({"streams", "db"})
     ->Unit(benchmark::kMillisecond);
 
+/**
+ * The paper-shaped PPO epoch (Table V guessing game; 3000 steps,
+ * minibatch 500, 6 passes, 2 x 128 hidden, one stream): the learner
+ * update the time-to-discovery bench is bound by. Wall time, since
+ * that is what discovery waits for.
+ */
+void
+BM_PpoEpochPaper(benchmark::State &state)
+{
+    auto vec = makeVecEnv("guessing_game", benchEnvConfig(), 1);
+    PpoConfig ppo;
+    ppo.stepsPerEpoch = 3000;
+    ppo.minibatchSize = 500;
+    ppo.hidden = 128;
+    PpoTrainer trainer(*vec, ppo);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(trainer.runEpoch().epoch);
+    state.SetItemsProcessed(state.iterations() * 3000);
+}
+BENCHMARK(BM_PpoEpochPaper)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+/**
+ * One Adam step over the paper-shaped network's 49929 parameters
+ * (obs 251 -> 128 -> 128 torso, 8-action policy head, value head) in
+ * that network's block sizes.
+ */
+void
+BM_AdamStep(benchmark::State &state)
+{
+    Rng rng(4);
+    ActorCritic net(251, 8, 128, 2, rng);
+    std::vector<ParamBlock> blocks = net.paramBlocks();
+    std::size_t params = 0;
+    for (ParamBlock &b : blocks) {
+        for (std::size_t i = 0; i < b.size; ++i)
+            b.grads[i] = static_cast<float>(rng.gaussian());
+        params += b.size;
+    }
+    Adam adam(blocks, 3e-4);
+    for (auto _ : state) {
+        adam.step(blocks);
+        benchmark::DoNotOptimize(blocks.front().params[0]);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<long>(params));
+    state.counters["params"] = static_cast<double>(params);
+}
+BENCHMARK(BM_AdamStep)->UseRealTime();
+
 void
 BM_Autocorrelation(benchmark::State &state)
 {

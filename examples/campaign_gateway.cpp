@@ -9,7 +9,8 @@
  *   $ ./examples/campaign_gateway --root /tmp/gw --dist 3 \
  *         alice_nightly.cfg bob_quick.cfg
  *   $ ./examples/campaign_gateway --root /tmp/gw \
- *         --endpoints 10.0.0.2:7001,10.0.0.3:7001 tenants/*.cfg
+ *         --endpoints 10.0.0.2:7001,10.0.0.3:7001 \
+ *         tenants/alice.cfg tenants/bob.cfg
  *
  * Higher-priority campaigns schedule first (ties in submission
  * order); every campaign's report lands under

@@ -29,19 +29,6 @@ encodeAscii(const std::string &text)
     return bits;
 }
 
-std::string
-decodeAscii(const autocat::BitString &bits)
-{
-    std::string text;
-    for (std::size_t i = 0; i + 7 < bits.size(); i += 8) {
-        unsigned char c = 0;
-        for (int b = 0; b < 8; ++b)
-            c = static_cast<unsigned char>((c << 1) | bits[i + b]);
-        text.push_back(static_cast<char>(c));
-    }
-    return text;
-}
-
 } // namespace
 
 int

@@ -4,7 +4,81 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "rl/mat.hpp"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define AUTOCAT_ADAM_X86 1
+#include <immintrin.h>
+#endif
+
 namespace autocat {
+
+namespace {
+
+/** Coefficients of one Adam step, shared by every element. */
+struct AdamCoeffs
+{
+    double beta1, beta2, alpha, eps;
+};
+
+/**
+ * The update of elements [i, n) of one block: scalar double math, one
+ * element at a time. This order is the definition the vector path
+ * must reproduce bit for bit.
+ */
+void
+adamScalar(const ParamBlock &b, float *m, float *v, const AdamCoeffs &c,
+           std::size_t i)
+{
+    for (; i < b.size; ++i) {
+        const float g = b.grads[i];
+        m[i] = static_cast<float>(c.beta1 * m[i] + (1.0 - c.beta1) * g);
+        v[i] = static_cast<float>(c.beta2 * v[i] + (1.0 - c.beta2) * g * g);
+        b.params[i] -= static_cast<float>(
+            c.alpha * m[i] / (std::sqrt(static_cast<double>(v[i])) + c.eps));
+    }
+}
+
+#if AUTOCAT_ADAM_X86
+
+/**
+ * adamScalar four elements at a time in double lanes: the same
+ * operations in the same order, each IEEE-rounded like its scalar
+ * twin (conversions, sqrt and divide included). Compiled for AVX2
+ * without FMA, so no multiply-add here can be contracted.
+ */
+__attribute__((target("avx2"))) void
+adamAvx2(const ParamBlock &b, float *m, float *v, const AdamCoeffs &c)
+{
+    const __m256d beta1 = _mm256_set1_pd(c.beta1);
+    const __m256d one_m_beta1 = _mm256_set1_pd(1.0 - c.beta1);
+    const __m256d beta2 = _mm256_set1_pd(c.beta2);
+    const __m256d one_m_beta2 = _mm256_set1_pd(1.0 - c.beta2);
+    const __m256d alpha = _mm256_set1_pd(c.alpha);
+    const __m256d eps = _mm256_set1_pd(c.eps);
+    std::size_t i = 0;
+    for (; i + 4 <= b.size; i += 4) {
+        const __m256d g = _mm256_cvtps_pd(_mm_loadu_ps(b.grads + i));
+        const __m128 m_new = _mm256_cvtpd_ps(_mm256_add_pd(
+            _mm256_mul_pd(beta1, _mm256_cvtps_pd(_mm_loadu_ps(m + i))),
+            _mm256_mul_pd(one_m_beta1, g)));
+        const __m128 v_new = _mm256_cvtpd_ps(_mm256_add_pd(
+            _mm256_mul_pd(beta2, _mm256_cvtps_pd(_mm_loadu_ps(v + i))),
+            _mm256_mul_pd(_mm256_mul_pd(one_m_beta2, g), g)));
+        _mm_storeu_ps(m + i, m_new);
+        _mm_storeu_ps(v + i, v_new);
+        const __m256d step = _mm256_div_pd(
+            _mm256_mul_pd(alpha, _mm256_cvtps_pd(m_new)),
+            _mm256_add_pd(_mm256_sqrt_pd(_mm256_cvtps_pd(v_new)), eps));
+        _mm_storeu_ps(b.params + i, _mm_sub_ps(_mm_loadu_ps(b.params + i),
+                                               _mm256_cvtpd_ps(step)));
+    }
+    adamScalar(b, m, v, c, i);
+}
+
+#endif // AUTOCAT_ADAM_X86
+
+} // namespace
 
 Adam::Adam(const std::vector<ParamBlock> &blocks, double lr, double beta1,
            double beta2, double eps)
@@ -25,22 +99,19 @@ Adam::step(std::vector<ParamBlock> &blocks)
     ++t_;
     const double bc1 = 1.0 - std::pow(beta1_, t_);
     const double bc2 = 1.0 - std::pow(beta2_, t_);
-    const double alpha = lr_ * std::sqrt(bc2) / bc1;
+    const AdamCoeffs coeffs{beta1_, beta2_, lr_ * std::sqrt(bc2) / bc1,
+                            eps_};
 
     for (std::size_t k = 0; k < blocks.size(); ++k) {
-        auto &b = blocks[k];
-        auto &m = m_[k];
-        auto &v = v_[k];
-        assert(b.size == m.size());
-        for (std::size_t i = 0; i < b.size; ++i) {
-            const float g = b.grads[i];
-            m[i] = static_cast<float>(beta1_ * m[i] + (1.0 - beta1_) * g);
-            v[i] = static_cast<float>(beta2_ * v[i] +
-                                      (1.0 - beta2_) * g * g);
-            b.params[i] -= static_cast<float>(
-                alpha * m[i] / (std::sqrt(static_cast<double>(v[i])) +
-                                eps_));
+        const ParamBlock &b = blocks[k];
+        assert(b.size == m_[k].size());
+#if AUTOCAT_ADAM_X86
+        if (useAvx2()) {
+            adamAvx2(b, m_[k].data(), v_[k].data(), coeffs);
+            continue;
         }
+#endif
+        adamScalar(b, m_[k].data(), v_[k].data(), coeffs, 0);
     }
 }
 

@@ -94,14 +94,51 @@ dotGemmPortable(float *c, const float *a, const float *b, std::size_t m,
  * translation unit itself needs no -mavx2 flag and the binary still
  * runs on pre-AVX2 hardware.
  *
- * Row purity contract: every c(i,j) produced by the dot-product
- * kernels goes through dot8() — two 8-lane FMA accumulators walked in
- * 16-float steps, one fixed horizontal reduction, then a scalar tail.
- * The register tiling over j only interleaves *independent* (i,j)
- * accumulations; it never changes the order of operations within one,
- * so results are bitwise independent of the tile path taken and of the
- * batch size m.
+ * Every output element has one canonical accumulation order, fixed by
+ * the code below and independent of the tile, panel and batch size
+ * that produce it (tests/test_mat_kernels.cpp checks each kernel bit
+ * for bit against a scalar std::fma reference of that order):
+ *
+ *  - Broadcast kernels (matmul, matmulTransA): c(i,j) is one fma
+ *    chain, sequential over p. Exception: matmul's n % 16 tail
+ *    columns add their k products in tail order (below).
+ *  - Dot kernels (matmulTransB, linearForward): dot8 order. Two 8-lane
+ *    fma accumulators walk k in 16-float steps (an 8-float remainder
+ *    goes to the first), their sum is reduced horizontally as
+ *    (l, l+4) -> (l, l+2) -> (0, 1), and the k % 8 remainder follows
+ *    in tail order. Bias is added after, then ReLU. Since no order
+ *    depends on the batch, these kernels are row-pure.
+ *
+ * Tail order: t products added one after another to the running sum,
+ * the first t - t % 4 rounded before the add, the last t % 4 fused.
+ * It is the order GCC's in-order vectorization gave the earlier scalar
+ * tail loops, spelled out so it no longer depends on the compiler.
  */
+
+/**
+ * @p v, opaque to the optimizer: a product passed through here is
+ * rounded on its own and never contracted into the add that follows.
+ */
+template <typename V>
+__attribute__((target("avx2,fma"))) inline V
+rounded(V v)
+{
+    __asm__("" : "+x"(v));
+    return v;
+}
+
+/** s + a[0]*b[0] + ... + a[count-1]*b[count-1] in tail order. */
+__attribute__((target("avx2,fma"))) inline float
+dotTail(float s, const float *a, const float *b, std::size_t count)
+{
+    std::size_t p = 0;
+    for (; p + 4 <= count; p += 4)
+        for (std::size_t q = p; q < p + 4; ++q)
+            s += rounded(a[q] * b[q]);
+    for (; p < count; ++p)
+        s = std::fma(a[p], b[p], s);
+    return s;
+}
 
 __attribute__((target("avx2,fma"))) inline float
 hsum8(__m256 v)
@@ -116,235 +153,238 @@ hsum8(__m256 v)
     return _mm_cvtss_f32(lo);
 }
 
-/** Canonical dot(a, b, k): the one accumulation order (see above). */
-__attribute__((target("avx2,fma"))) inline float
-dot8(const float *a, const float *b, std::size_t k)
+/**
+ * C dot products out[c] = dot(a, b[c]) over k, each in dot8 order. The
+ * block only interleaves independent accumulations: 2C fma chains for
+ * ILP, each vector of the A row loaded once for C rows of B.
+ */
+template <int C>
+__attribute__((target("avx2,fma"))) inline void
+dotBlock(const float *a, const float *const *b, std::size_t k,
+         float (&out)[C])
 {
-    __m256 acc0 = _mm256_setzero_ps();
-    __m256 acc1 = _mm256_setzero_ps();
+    __m256 acc0[C], acc1[C];
+    for (int c = 0; c < C; ++c)
+        acc0[c] = acc1[c] = _mm256_setzero_ps();
     std::size_t p = 0;
     for (; p + 16 <= k; p += 16) {
-        acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + p),
-                               _mm256_loadu_ps(b + p), acc0);
-        acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a + p + 8),
-                               _mm256_loadu_ps(b + p + 8), acc1);
+        const __m256 a0 = _mm256_loadu_ps(a + p);
+        const __m256 a1 = _mm256_loadu_ps(a + p + 8);
+        for (int c = 0; c < C; ++c) {
+            acc0[c] = _mm256_fmadd_ps(a0, _mm256_loadu_ps(b[c] + p), acc0[c]);
+            acc1[c] =
+                _mm256_fmadd_ps(a1, _mm256_loadu_ps(b[c] + p + 8), acc1[c]);
+        }
     }
     if (p + 8 <= k) {
-        acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + p),
-                               _mm256_loadu_ps(b + p), acc0);
+        const __m256 a0 = _mm256_loadu_ps(a + p);
+        for (int c = 0; c < C; ++c)
+            acc0[c] = _mm256_fmadd_ps(a0, _mm256_loadu_ps(b[c] + p), acc0[c]);
         p += 8;
     }
-    float s = hsum8(_mm256_add_ps(acc0, acc1));
-    for (; p < k; ++p)
-        s += a[p] * b[p];
-    return s;
+    for (int c = 0; c < C; ++c)
+        out[c] = dotTail(hsum8(_mm256_add_ps(acc0[c], acc1[c])), a + p,
+                         b[c] + p, k - p);
 }
 
 /**
- * Four interleaved dot8() accumulations against consecutive rows of B
- * — identical per-output arithmetic, 8 independent FMA chains for ILP.
+ * Outputs of a dot kernel: bias (@p bias, lane-aligned with @p v, or
+ * null) added after the dot, then ReLU as a select — a branch on the
+ * output's sign mispredicts about half the time. Exactly `v < 0 ? 0 :
+ * v` per lane, so -0 and NaN pass through like the scalar test.
  */
-__attribute__((target("avx2,fma"))) inline void
-dot8x4(const float *a, const float *b0, const float *b1, const float *b2,
-       const float *b3, std::size_t k, float out[4])
+__attribute__((target("avx2,fma"))) inline __m128
+dotEpilogue(__m128 v, const __m128 *bias, bool relu)
 {
-    __m256 a00 = _mm256_setzero_ps(), a01 = _mm256_setzero_ps();
-    __m256 a10 = _mm256_setzero_ps(), a11 = _mm256_setzero_ps();
-    __m256 a20 = _mm256_setzero_ps(), a21 = _mm256_setzero_ps();
-    __m256 a30 = _mm256_setzero_ps(), a31 = _mm256_setzero_ps();
-    std::size_t p = 0;
-    for (; p + 16 <= k; p += 16) {
-        const __m256 av0 = _mm256_loadu_ps(a + p);
-        const __m256 av1 = _mm256_loadu_ps(a + p + 8);
-        a00 = _mm256_fmadd_ps(av0, _mm256_loadu_ps(b0 + p), a00);
-        a01 = _mm256_fmadd_ps(av1, _mm256_loadu_ps(b0 + p + 8), a01);
-        a10 = _mm256_fmadd_ps(av0, _mm256_loadu_ps(b1 + p), a10);
-        a11 = _mm256_fmadd_ps(av1, _mm256_loadu_ps(b1 + p + 8), a11);
-        a20 = _mm256_fmadd_ps(av0, _mm256_loadu_ps(b2 + p), a20);
-        a21 = _mm256_fmadd_ps(av1, _mm256_loadu_ps(b2 + p + 8), a21);
-        a30 = _mm256_fmadd_ps(av0, _mm256_loadu_ps(b3 + p), a30);
-        a31 = _mm256_fmadd_ps(av1, _mm256_loadu_ps(b3 + p + 8), a31);
-    }
-    if (p + 8 <= k) {
-        const __m256 av0 = _mm256_loadu_ps(a + p);
-        a00 = _mm256_fmadd_ps(av0, _mm256_loadu_ps(b0 + p), a00);
-        a10 = _mm256_fmadd_ps(av0, _mm256_loadu_ps(b1 + p), a10);
-        a20 = _mm256_fmadd_ps(av0, _mm256_loadu_ps(b2 + p), a20);
-        a30 = _mm256_fmadd_ps(av0, _mm256_loadu_ps(b3 + p), a30);
-        p += 8;
-    }
-    out[0] = hsum8(_mm256_add_ps(a00, a01));
-    out[1] = hsum8(_mm256_add_ps(a10, a11));
-    out[2] = hsum8(_mm256_add_ps(a20, a21));
-    out[3] = hsum8(_mm256_add_ps(a30, a31));
-    for (; p < k; ++p) {
-        out[0] += a[p] * b0[p];
-        out[1] += a[p] * b1[p];
-        out[2] += a[p] * b2[p];
-        out[3] += a[p] * b3[p];
-    }
+    if (bias)
+        v = _mm_add_ps(v, *bias);
+    if (relu)
+        v = _mm_andnot_ps(_mm_cmplt_ps(v, _mm_setzero_ps()), v);
+    return v;
 }
 
+/** Floats of B per column panel: 16 KB, well inside L1. */
+constexpr std::size_t kPanelFloats = 4096;
+
+/**
+ * C = A * B^T (A: m x k, B: n x k) with optional fused bias/ReLU. B is
+ * walked in L1-sized panels of rows, and every row of A passes a panel
+ * before the next one is loaded, so B streams from L2 once per call
+ * rather than once per row of A. Within a panel, 1 x 4 blocks share
+ * each A vector; leftover columns run one at a time. (2 x 2 register
+ * blocks measured at under half the speed of 1 x 4 at 500 x 251 -> 128
+ * on AVX2.)
+ */
 __attribute__((target("avx2,fma"))) void
 dotGemmAvx2(float *c, const float *a, const float *b, std::size_t m,
             std::size_t n, std::size_t k, const float *bias, bool relu)
 {
-    for (std::size_t i = 0; i < m; ++i) {
-        const float *arow = a + i * k;
-        float *crow = c + i * n;
-        std::size_t j = 0;
-        for (; j + 4 <= n; j += 4) {
-            float out[4];
-            dot8x4(arow, b + j * k, b + (j + 1) * k, b + (j + 2) * k,
-                   b + (j + 3) * k, k, out);
-            for (int t = 0; t < 4; ++t) {
-                float v = bias ? out[t] + bias[j + t] : out[t];
-                if (relu && v < 0.0f)
-                    v = 0.0f;
-                crow[j + t] = v;
+    const std::size_t panel = std::max<std::size_t>(
+        4, kPanelFloats / std::max<std::size_t>(k, 1) / 4 * 4);
+    for (std::size_t j0 = 0; j0 < n; j0 += panel) {
+        const std::size_t j1 = std::min(n, j0 + panel);
+        for (std::size_t i = 0; i < m; ++i) {
+            const float *arow = a + i * k;
+            float *crow = c + i * n;
+            std::size_t j = j0;
+            for (; j + 4 <= j1; j += 4) {
+                const float *brows[4] = {b + j * k, b + (j + 1) * k,
+                                         b + (j + 2) * k, b + (j + 3) * k};
+                float out[4];
+                dotBlock<4>(arow, brows, k, out);
+                const __m128 bv = bias ? _mm_loadu_ps(bias + j)
+                                       : _mm_setzero_ps();
+                _mm_storeu_ps(crow + j,
+                              dotEpilogue(_mm_loadu_ps(out),
+                                          bias ? &bv : nullptr, relu));
             }
-        }
-        for (; j < n; ++j) {
-            float v = dot8(arow, b + j * k, k);
-            if (bias)
-                v += bias[j];
-            if (relu && v < 0.0f)
-                v = 0.0f;
-            crow[j] = v;
+            for (; j < j1; ++j) {
+                const float *brow = b + j * k;
+                float out[1];
+                dotBlock<1>(arow, &brow, k, out);
+                const __m128 bv = bias ? _mm_set_ss(bias[j])
+                                       : _mm_setzero_ps();
+                crow[j] = _mm_cvtss_f32(dotEpilogue(
+                    _mm_set_ss(out[0]), bias ? &bv : nullptr, relu));
+            }
         }
     }
 }
 
 /**
- * Broadcast-FMA tile for C = A * B: an MR x 16 block of C lives in
- * registers while the shared dimension streams by.
+ * Steps p in [p0, p1) of an MR x 8NV broadcast tile (see gemmTile):
+ * fused, or with each product rounded before its add.
  */
-template <int MR>
+template <int MR, int NV, bool Masked, bool Fused>
 __attribute__((target("avx2,fma"))) inline void
-mmTileAvx2(float *c, const float *a, const float *b, std::size_t i0,
-           std::size_t j0, std::size_t k, std::size_t n)
+gemmSteps(__m256 (&acc)[MR][NV], const float *a, std::size_t a_rs,
+          std::size_t a_cs, const float *b, std::size_t n, __m256i mask,
+          std::size_t p0, std::size_t p1)
 {
-    __m256 acc[MR][2];
-    for (int r = 0; r < MR; ++r)
-        acc[r][0] = acc[r][1] = _mm256_setzero_ps();
-    for (std::size_t p = 0; p < k; ++p) {
-        const float *brow = b + p * n + j0;
-        const __m256 b0 = _mm256_loadu_ps(brow);
-        const __m256 b1 = _mm256_loadu_ps(brow + 8);
+    for (std::size_t p = p0; p < p1; ++p) {
+        const float *brow = b + p * n;
+        __m256 bv[NV];
+        for (int v = 0; v < NV; ++v)
+            bv[v] = Masked && v == NV - 1
+                        ? _mm256_maskload_ps(brow + 8 * v, mask)
+                        : _mm256_loadu_ps(brow + 8 * v);
+        const float *ap = a + p * a_cs;
         for (int r = 0; r < MR; ++r) {
             const __m256 av =
-                _mm256_set1_ps(a[(i0 + static_cast<std::size_t>(r)) * k +
-                                 p]);
-            acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
-            acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
+                _mm256_set1_ps(ap[static_cast<std::size_t>(r) * a_rs]);
+            for (int v = 0; v < NV; ++v)
+                acc[r][v] = Fused ? _mm256_fmadd_ps(av, bv[v], acc[r][v])
+                                  : _mm256_add_ps(acc[r][v],
+                                                  rounded(_mm256_mul_ps(
+                                                      av, bv[v])));
         }
-    }
-    for (int r = 0; r < MR; ++r) {
-        float *crow = c + (i0 + static_cast<std::size_t>(r)) * n + j0;
-        _mm256_storeu_ps(crow, acc[r][0]);
-        _mm256_storeu_ps(crow + 8, acc[r][1]);
     }
 }
 
+/**
+ * An MR x 8NV block of C = op(A) * B lives in registers while the
+ * shared dimension streams by. @p a and @p b point at the block's
+ * first row of A and first column of B; A(r, p) is a[r * a_rs +
+ * p * a_cs]. With Masked, the last 8-lane vector only loads and stores
+ * the columns set in @p mask. Products with p < @p unfused are rounded
+ * before they are added (tail order), the rest fused.
+ */
+template <int MR, int NV, bool Masked>
+__attribute__((target("avx2,fma"))) inline void
+gemmTile(float *c, const float *a, std::size_t a_rs, std::size_t a_cs,
+         const float *b, std::size_t k, std::size_t n, __m256i mask,
+         std::size_t unfused)
+{
+    __m256 acc[MR][NV];
+    for (int r = 0; r < MR; ++r)
+        for (int v = 0; v < NV; ++v)
+            acc[r][v] = _mm256_setzero_ps();
+    gemmSteps<MR, NV, Masked, false>(acc, a, a_rs, a_cs, b, n, mask, 0,
+                                     unfused);
+    gemmSteps<MR, NV, Masked, true>(acc, a, a_rs, a_cs, b, n, mask,
+                                    unfused, k);
+    for (int r = 0; r < MR; ++r) {
+        float *crow = c + static_cast<std::size_t>(r) * n;
+        for (int v = 0; v < NV; ++v) {
+            if (Masked && v == NV - 1)
+                _mm256_maskstore_ps(crow + 8 * v, mask, acc[r][v]);
+            else
+                _mm256_storeu_ps(crow + 8 * v, acc[r][v]);
+        }
+    }
+}
+
+/** Lanes 0..w-1 set. */
+__attribute__((target("avx2,fma"))) inline __m256i
+laneMask(std::size_t w)
+{
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(w)),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/**
+ * MR rows of C = op(A) * B from row i: 16-column tiles, then one tile
+ * for the n % 16 tail columns (8 full lanes and/or a masked vector),
+ * whose products p < @p tail_unfused are rounded before they are added.
+ */
+template <int MR>
+__attribute__((target("avx2,fma"))) inline void
+gemmRows(float *c, const float *a, std::size_t a_rs, std::size_t a_cs,
+         const float *b, std::size_t i, std::size_t k, std::size_t n,
+         std::size_t tail_unfused)
+{
+    float *crow = c + i * n;
+    const float *arow = a + i * a_rs;
+    const __m256i all = _mm256_set1_epi32(-1);
+    std::size_t j = 0;
+    for (; j + 16 <= n; j += 16)
+        gemmTile<MR, 2, false>(crow + j, arow, a_rs, a_cs, b + j, k, n, all,
+                               0);
+    const std::size_t rest = n - j;
+    if (rest > 8)
+        gemmTile<MR, 2, true>(crow + j, arow, a_rs, a_cs, b + j, k, n,
+                              laneMask(rest - 8), tail_unfused);
+    else if (rest == 8)
+        gemmTile<MR, 1, false>(crow + j, arow, a_rs, a_cs, b + j, k, n, all,
+                               tail_unfused);
+    else if (rest > 0)
+        gemmTile<MR, 1, true>(crow + j, arow, a_rs, a_cs, b + j, k, n,
+                              laneMask(rest), tail_unfused);
+}
+
+/** C = op(A) * B, C: m x n, shared dimension k (see gemmTile). */
 __attribute__((target("avx2,fma"))) void
+gemmAvx2(float *c, const float *a, std::size_t a_rs, std::size_t a_cs,
+         const float *b, std::size_t m, std::size_t k, std::size_t n,
+         std::size_t tail_unfused)
+{
+    std::size_t i = 0;
+    for (; i + 4 <= m; i += 4)
+        gemmRows<4>(c, a, a_rs, a_cs, b, i, k, n, tail_unfused);
+    for (; i < m; ++i)
+        gemmRows<1>(c, a, a_rs, a_cs, b, i, k, n, tail_unfused);
+}
+
+/** C = A * B. A: m x k, B: k x n. */
+void
 matmulAvx2(float *c, const float *a, const float *b, std::size_t m,
            std::size_t k, std::size_t n)
 {
-    std::size_t i = 0;
-    for (; i + 4 <= m; i += 4) {
-        std::size_t j = 0;
-        for (; j + 16 <= n; j += 16)
-            mmTileAvx2<4>(c, a, b, i, j, k, n);
-        for (; j < n; ++j) {
-            for (int r = 0; r < 4; ++r) {
-                const float *arow = a + (i + static_cast<std::size_t>(r)) * k;
-                float s = 0.0f;
-                for (std::size_t p = 0; p < k; ++p)
-                    s += arow[p] * b[p * n + j];
-                c[(i + static_cast<std::size_t>(r)) * n + j] = s;
-            }
-        }
-    }
-    for (; i < m; ++i) {
-        std::size_t j = 0;
-        for (; j + 16 <= n; j += 16)
-            mmTileAvx2<1>(c, a, b, i, j, k, n);
-        for (; j < n; ++j) {
-            const float *arow = a + i * k;
-            float s = 0.0f;
-            for (std::size_t p = 0; p < k; ++p)
-                s += arow[p] * b[p * n + j];
-            c[i * n + j] = s;
-        }
-    }
+    gemmAvx2(c, a, k, 1, b, m, k, n, k / 4 * 4);
 }
 
-/**
- * Broadcast-FMA tile for C = A^T * B (A: k x m): same register block,
- * A walked column-wise.
- */
-template <int MR>
-__attribute__((target("avx2,fma"))) inline void
-mmTransATileAvx2(float *c, const float *a, const float *b, std::size_t i0,
-                 std::size_t j0, std::size_t k, std::size_t m,
-                 std::size_t n)
-{
-    __m256 acc[MR][2];
-    for (int r = 0; r < MR; ++r)
-        acc[r][0] = acc[r][1] = _mm256_setzero_ps();
-    for (std::size_t p = 0; p < k; ++p) {
-        const float *brow = b + p * n + j0;
-        const __m256 b0 = _mm256_loadu_ps(brow);
-        const __m256 b1 = _mm256_loadu_ps(brow + 8);
-        const float *acol = a + p * m + i0;
-        for (int r = 0; r < MR; ++r) {
-            const __m256 av = _mm256_set1_ps(acol[r]);
-            acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
-            acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
-        }
-    }
-    for (int r = 0; r < MR; ++r) {
-        float *crow = c + (i0 + static_cast<std::size_t>(r)) * n + j0;
-        _mm256_storeu_ps(crow, acc[r][0]);
-        _mm256_storeu_ps(crow + 8, acc[r][1]);
-    }
-}
-
-__attribute__((target("avx2,fma"))) void
+/** C = A^T * B. A: k x m, B: k x n. */
+void
 matmulTransAAvx2(float *c, const float *a, const float *b, std::size_t k,
                  std::size_t m, std::size_t n)
 {
-    std::size_t i = 0;
-    for (; i + 4 <= m; i += 4) {
-        std::size_t j = 0;
-        for (; j + 16 <= n; j += 16)
-            mmTransATileAvx2<4>(c, a, b, i, j, k, m, n);
-        for (; j < n; ++j) {
-            for (int r = 0; r < 4; ++r) {
-                float s = 0.0f;
-                for (std::size_t p = 0; p < k; ++p)
-                    s += a[p * m + i + static_cast<std::size_t>(r)] *
-                         b[p * n + j];
-                c[(i + static_cast<std::size_t>(r)) * n + j] = s;
-            }
-        }
-    }
-    for (; i < m; ++i) {
-        std::size_t j = 0;
-        for (; j + 16 <= n; j += 16)
-            mmTransATileAvx2<1>(c, a, b, i, j, k, m, n);
-        for (; j < n; ++j) {
-            float s = 0.0f;
-            for (std::size_t p = 0; p < k; ++p)
-                s += a[p * m + i] * b[p * n + j];
-            c[i * n + j] = s;
-        }
-    }
+    gemmAvx2(c, a, 1, m, b, m, k, n, 0);
 }
 
 #endif // AUTOCAT_MAT_X86
 
-/** One-time backend choice: AVX2+FMA when the CPU has both. */
+} // namespace
+
 bool
 useAvx2()
 {
@@ -362,8 +402,6 @@ useAvx2()
     return false;
 #endif
 }
-
-} // namespace
 
 const char *
 matmulBackend()

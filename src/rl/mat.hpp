@@ -21,6 +21,10 @@
  *    double-buffered PPO collector split a stream batch into groups
  *    without perturbing trajectories (see rl/ppo.hpp).
  *
+ * Each AVX2 kernel also has one canonical per-element accumulation
+ * order, documented in mat.cpp and pinned bit for bit by
+ * tests/test_mat_kernels.cpp.
+ *
  * Set AUTOCAT_MAT_PORTABLE=1 in the environment (before first use) to
  * force the portable backend, e.g. when A/B-measuring the SIMD path.
  */
@@ -111,6 +115,13 @@ class Matrix
  * "portable". Useful in logs and for verifying a forced fallback.
  */
 const char *matmulBackend();
+
+/**
+ * True when the AVX2+FMA kernels are selected: the CPU has both and
+ * AUTOCAT_MAT_PORTABLE=1 was not set before first use. Decided once per
+ * process; Adam::step (rl/adam.cpp) dispatches on it too.
+ */
+bool useAvx2();
 
 /*
  * Destination-passing matmuls. Shared pre/postconditions:

@@ -33,22 +33,27 @@ Linear::forwardInto(Matrix &y, const Matrix &x, bool fuse_relu) const
     linearForwardInto(y, x, w_, b_, fuse_relu);
 }
 
-Matrix
-Linear::backward(const Matrix &grad_out, const Matrix &input)
+void
+Linear::accumulateGrads(const Matrix &grad_out, const Matrix &input)
 {
     assert(grad_out.cols() == out_);
     assert(grad_out.rows() == input.rows());
     assert(input.cols() == in_);
 
-    // dW += grad_out^T * x ; db += colsum(grad_out) ; dx = grad_out * W
+    // dW += grad_out^T * x ; db += colsum(grad_out)
     matmulTransAInto(gw_scratch_, grad_out, input);
     for (std::size_t i = 0; i < gw_.size(); ++i)
         gw_.data()[i] += gw_scratch_.data()[i];
     const std::vector<float> gb = colSum(grad_out);
     for (std::size_t i = 0; i < gb_.size(); ++i)
         gb_[i] += gb[i];
+}
 
-    return matmul(grad_out, w_);
+Matrix
+Linear::backward(const Matrix &grad_out, const Matrix &input)
+{
+    accumulateGrads(grad_out, input);
+    return matmul(grad_out, w_);  // dx = grad_out * W
 }
 
 void
@@ -107,7 +112,7 @@ Mlp::forwardInto(const Matrix &x, std::vector<Matrix> &scratch) const
     return scratch.back();
 }
 
-Matrix
+void
 Mlp::backward(const Matrix &grad_out)
 {
     Matrix g = grad_out;
@@ -117,9 +122,11 @@ Mlp::backward(const Matrix &grad_out)
         // pre-activation was <= 0, so acts_ doubles as the mask.
         if (activated)
             reluBackwardInPlace(g, acts_[i + 1]);
-        g = layers_[i].backward(g, acts_[i]);
+        if (i == 0)
+            layers_[0].accumulateGrads(g, acts_[0]);
+        else
+            g = layers_[i].backward(g, acts_[i]);
     }
-    return g;
 }
 
 void
@@ -165,10 +172,12 @@ void
 reluBackwardInPlace(Matrix &grad, const Matrix &preact)
 {
     assert(grad.size() == preact.size());
-    for (std::size_t i = 0; i < grad.size(); ++i) {
-        if (preact.data()[i] <= 0.0f)
-            grad.data()[i] = 0.0f;
-    }
+    // A select, not a branch: ReLU masks are data-dependent coin flips
+    // that mispredict, and the branch-free loop vectorizes.
+    float *g = grad.data();
+    const float *pre = preact.data();
+    for (std::size_t i = 0; i < grad.size(); ++i)
+        g[i] = pre[i] <= 0.0f ? 0.0f : g[i];
 }
 
 double

@@ -58,12 +58,17 @@ class Linear
     void forwardInto(Matrix &y, const Matrix &x, bool fuse_relu) const;
 
     /**
-     * Backward pass: accumulates weight/bias gradients from
-     * @p grad_out (B x out) against the explicitly supplied forward
-     * @p input (the exact matrix the producing forward consumed;
-     * B x in) and returns the input gradient (B x in). Callers store
+     * Accumulates weight/bias gradients from @p grad_out (B x out)
+     * against the explicitly supplied forward @p input (the exact
+     * matrix the producing forward consumed; B x in). Callers store
      * activations themselves (see Mlp::acts_) — the layer caches
      * nothing.
+     */
+    void accumulateGrads(const Matrix &grad_out, const Matrix &input);
+
+    /**
+     * Backward pass: accumulateGrads(), then returns the input
+     * gradient grad_out * W (B x in).
      */
     Matrix backward(const Matrix &grad_out, const Matrix &input);
 
@@ -122,8 +127,12 @@ class Mlp
     const Matrix &forwardInto(const Matrix &x,
                               std::vector<Matrix> &scratch) const;
 
-    /** Backward through the whole stack; returns input gradient. */
-    Matrix backward(const Matrix &grad_out);
+    /**
+     * Backward through the whole stack, accumulating every layer's
+     * parameter gradients. The input gradient is not computed: the
+     * torso's input is the observation, which nothing trains.
+     */
+    void backward(const Matrix &grad_out);
 
     void zeroGrad();
     std::vector<ParamBlock> paramBlocks();

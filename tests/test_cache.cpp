@@ -431,8 +431,9 @@ TEST(CacheHierarchy, InclusionBackInvalidatesL1)
     mem.access(8, Domain::Victim);
     const bool l2_has_0 = mem.level(1).contains(0);
     const bool l1_has_0 = mem.level(0, 0).contains(0);
-    if (!l2_has_0)
+    if (!l2_has_0) {
         EXPECT_FALSE(l1_has_0) << "inclusion violated";
+    }
     // Exactly one of {0, 4} was displaced.
     EXPECT_NE(mem.level(1).contains(0), mem.level(1).contains(4));
 }

@@ -6,12 +6,19 @@
  * (4/16-column blocks), and K (8/16-lane vector steps), plus the
  * fused bias+ReLU path and the row-purity guarantee the
  * double-buffered collector relies on.
+ *
+ * The bitwise oracle below goes further than a tolerance: a scalar
+ * std::fma reference written in each AVX2 kernel's canonical
+ * per-element accumulation order must match the kernel bit for bit,
+ * so a kernel rewrite that reorders a single sum fails here.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "rl/actor_critic.hpp"
 #include "rl/mat.hpp"
@@ -219,6 +226,234 @@ TEST(MatKernels, ActorCriticForwardNoGradIsRowPure)
         EXPECT_EQ(full.values[r], out_lo.values[r]);
     for (std::size_t r = split; r < obs.rows(); ++r)
         EXPECT_EQ(full.values[r], out_hi.values[r - split]);
+}
+
+// ------------------------------------------------- bitwise oracle --
+
+/**
+ * s + a[0]*b[0] + ... + a[count-1]*b[count-1] (strides @p as, @p bs),
+ * added in order: products in whole groups of four are rounded before
+ * they are added, the last count % 4 are fused.
+ */
+float
+chunkedTail(float s, const float *a, std::size_t as, const float *b,
+            std::size_t bs, std::size_t count)
+{
+    std::size_t p = 0;
+    for (; p + 4 <= count; p += 4)
+        for (std::size_t q = p; q < p + 4; ++q) {
+            volatile float prod = a[q * as] * b[q * bs];
+            s += prod;
+        }
+    for (; p < count; ++p)
+        s = std::fma(a[p * as], b[p * bs], s);
+    return s;
+}
+
+/**
+ * C = A * B: sequential over p, fused inside 16-column tiles; the
+ * n % 16 tail columns in chunkedTail order.
+ */
+Matrix
+fmaMatmul(const Matrix &a, const Matrix &b)
+{
+    Matrix c(a.rows(), b.cols());
+    const std::size_t tiled = b.cols() / 16 * 16;
+    for (std::size_t i = 0; i < a.rows(); ++i)
+        for (std::size_t j = 0; j < b.cols(); ++j) {
+            float s = 0.0f;
+            if (j < tiled) {
+                for (std::size_t p = 0; p < a.cols(); ++p)
+                    s = std::fma(a(i, p), b(p, j), s);
+            } else {
+                s = chunkedTail(0.0f, a.rowPtr(i), 1, b.data() + j,
+                                b.cols(), a.cols());
+            }
+            c(i, j) = s;
+        }
+    return c;
+}
+
+/** C = A^T * B (A: k x m): every element a sequential fma chain over p. */
+Matrix
+fmaMatmulTransA(const Matrix &a, const Matrix &b)
+{
+    Matrix c(a.cols(), b.cols());
+    for (std::size_t i = 0; i < a.cols(); ++i)
+        for (std::size_t j = 0; j < b.cols(); ++j) {
+            float s = 0.0f;
+            for (std::size_t p = 0; p < a.rows(); ++p)
+                s = std::fma(a(p, i), b(p, j), s);
+            c(i, j) = s;
+        }
+    return c;
+}
+
+/**
+ * The dot-product kernels' order: two 8-lane fma accumulators over
+ * 16-float steps (an 8-float remainder goes to the first), their
+ * lane-wise sum reduced as (l, l+4) → (l, l+2) → (0, 1), then a
+ * sequential fma tail.
+ */
+float
+fmaDot8(const float *a, const float *b, std::size_t k)
+{
+    float acc0[8] = {}, acc1[8] = {};
+    std::size_t p = 0;
+    for (; p + 16 <= k; p += 16)
+        for (std::size_t l = 0; l < 8; ++l) {
+            acc0[l] = std::fma(a[p + l], b[p + l], acc0[l]);
+            acc1[l] = std::fma(a[p + 8 + l], b[p + 8 + l], acc1[l]);
+        }
+    if (p + 8 <= k) {
+        for (std::size_t l = 0; l < 8; ++l)
+            acc0[l] = std::fma(a[p + l], b[p + l], acc0[l]);
+        p += 8;
+    }
+    float v[8];
+    for (std::size_t l = 0; l < 8; ++l)
+        v[l] = acc0[l] + acc1[l];
+    float h[4];
+    for (std::size_t l = 0; l < 4; ++l)
+        h[l] = v[l] + v[l + 4];
+    const float s = (h[0] + h[2]) + (h[1] + h[3]);
+    return chunkedTail(s, a + p, 1, b + p, 1, k - p);
+}
+
+/** y = x w^T (+ bias, then ReLU) with each element in fmaDot8 order. */
+Matrix
+fmaDotGemm(const Matrix &x, const Matrix &w, const float *bias, bool relu)
+{
+    Matrix y(x.rows(), w.rows());
+    for (std::size_t i = 0; i < x.rows(); ++i)
+        for (std::size_t j = 0; j < w.rows(); ++j) {
+            float v = fmaDot8(x.rowPtr(i), w.rowPtr(j), x.cols());
+            if (bias)
+                v += bias[j];
+            if (relu && v < 0.0f)
+                v = 0.0f;
+            y(i, j) = v;
+        }
+    return y;
+}
+
+void
+expectBitwise(const Matrix &got, const Matrix &want, const Shape &s,
+              const char *what)
+{
+    ASSERT_EQ(got.rows(), want.rows()) << what;
+    ASSERT_EQ(got.cols(), want.cols()) << what;
+    if (std::memcmp(got.data(), want.data(), got.size() * sizeof(float)) ==
+        0)
+        return;
+    std::size_t i = 0;
+    while (std::memcmp(got.data() + i, want.data() + i, sizeof(float)) == 0)
+        ++i;
+    ADD_FAILURE() << what << " differs from its fma reference at shape m="
+                  << s.m << " k=" << s.k << " n=" << s.n << ", element ("
+                  << i / got.cols() << ", " << i % got.cols() << "): "
+                  << got.data()[i] << " vs " << want.data()[i];
+}
+
+/**
+ * Layer shapes of the paper-shaped learner, as {batch, in, out}: the
+ * 251- and 137-wide observations into a 128-wide torso at minibatch
+ * 500 and 100, and the single-row inference forward.
+ */
+const Shape kWorkloadLayers[] = {
+    {500, 251, 128}, {500, 137, 128}, {100, 137, 128}, {1, 251, 128}};
+
+/**
+ * kOddShapes plus one shape for every n % 16 in 1..15, both below and
+ * above one 16-column tile, cycling m % 4 and the k % 8/16 tails.
+ */
+std::vector<Shape>
+oracleShapes()
+{
+    std::vector<Shape> shapes(std::begin(kOddShapes), std::end(kOddShapes));
+    for (std::size_t r = 1; r < 16; ++r) {
+        shapes.push_back({r % 4 + 1, 33, r});
+        shapes.push_back({4 + r % 4, 9 + r, 16 + r});
+    }
+    return shapes;
+}
+
+bool
+avx2Backend()
+{
+    return std::string(matmulBackend()) == "avx2+fma";
+}
+
+TEST(MatKernelsOracle, MatmulIsBitwiseSequentialFma)
+{
+    if (!avx2Backend())
+        GTEST_SKIP() << "the canonical orders are the avx2+fma kernels'";
+    Rng rng(31);
+    std::vector<Shape> shapes = oracleShapes();
+    // dX = dY * W: batch x out times out x in.
+    for (const Shape &l : kWorkloadLayers)
+        shapes.push_back({l.m, l.n, l.k});
+    for (const Shape &s : shapes) {
+        const Matrix a = randomMatrix(s.m, s.k, rng);
+        const Matrix b = randomMatrix(s.k, s.n, rng);
+        expectBitwise(matmul(a, b), fmaMatmul(a, b), s, "matmul");
+    }
+}
+
+TEST(MatKernelsOracle, MatmulTransAIsBitwiseSequentialFma)
+{
+    if (!avx2Backend())
+        GTEST_SKIP() << "the canonical orders are the avx2+fma kernels'";
+    Rng rng(32);
+    std::vector<Shape> shapes = oracleShapes();
+    // dW = dY^T * X: out x batch times batch x in.
+    for (const Shape &l : kWorkloadLayers)
+        shapes.push_back({l.n, l.m, l.k});
+    for (const Shape &s : shapes) {
+        const Matrix a = randomMatrix(s.k, s.m, rng);
+        const Matrix b = randomMatrix(s.k, s.n, rng);
+        expectBitwise(matmulTransA(a, b), fmaMatmulTransA(a, b), s,
+                      "matmulTransA");
+    }
+}
+
+TEST(MatKernelsOracle, MatmulTransBIsBitwiseDot8)
+{
+    if (!avx2Backend())
+        GTEST_SKIP() << "the canonical orders are the avx2+fma kernels'";
+    Rng rng(33);
+    std::vector<Shape> shapes = oracleShapes();
+    shapes.insert(shapes.end(), std::begin(kWorkloadLayers),
+                  std::end(kWorkloadLayers));
+    for (const Shape &s : shapes) {
+        const Matrix a = randomMatrix(s.m, s.k, rng);
+        const Matrix b = randomMatrix(s.n, s.k, rng);
+        expectBitwise(matmulTransB(a, b), fmaDotGemm(a, b, nullptr, false),
+                      s, "matmulTransB");
+    }
+}
+
+TEST(MatKernelsOracle, LinearForwardIsBitwiseDot8)
+{
+    if (!avx2Backend())
+        GTEST_SKIP() << "the canonical orders are the avx2+fma kernels'";
+    Rng rng(34);
+    std::vector<Shape> shapes = oracleShapes();
+    shapes.insert(shapes.end(), std::begin(kWorkloadLayers),
+                  std::end(kWorkloadLayers));
+    for (const Shape &s : shapes) {
+        const Matrix x = randomMatrix(s.m, s.k, rng);
+        const Matrix w = randomMatrix(s.n, s.k, rng);
+        std::vector<float> bias(s.n);
+        for (auto &v : bias)
+            v = static_cast<float>(rng.gaussian());
+        for (const bool relu : {false, true}) {
+            Matrix y;
+            linearForwardInto(y, x, w, bias, relu);
+            expectBitwise(y, fmaDotGemm(x, w, bias.data(), relu), s,
+                          relu ? "linearForward+relu" : "linearForward");
+        }
+    }
 }
 
 TEST(MatKernels, BackendNameIsReported)

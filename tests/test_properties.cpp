@@ -126,8 +126,9 @@ TEST_P(GameProperties, TriggerAlwaysPrecedesCorrectGuess)
             const StepResult sr = env.step(a);
             if (decoded.kind == ActionKind::TriggerVictim)
                 triggered = true;
-            if (sr.info.guessCorrect)
+            if (sr.info.guessCorrect) {
                 EXPECT_TRUE(triggered);
+            }
             done = sr.done;
         }
     }

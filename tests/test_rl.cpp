@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "rl/actor_critic.hpp"
 #include "rl/adam.hpp"
@@ -213,6 +216,136 @@ TEST(Adam, MinimizesQuadratic)
     }
     EXPECT_NEAR(p[0], 0.0, 1e-2);
     EXPECT_NEAR(p[1], 0.0, 1e-2);
+}
+
+/**
+ * Refill @p g (in place: ParamBlocks point into it) with exact zeros,
+ * values near the float denormal range, ±1e3 outliers and ordinary
+ * magnitudes.
+ */
+void
+fillMixedGradients(std::vector<float> &g, Rng &rng)
+{
+    for (std::size_t i = 0; i < g.size(); ++i) {
+        switch (rng.uniformInt(4)) {
+        case 0: g[i] = 0.0f; break;
+        case 1: g[i] = static_cast<float>(rng.gaussian() * 1e-30); break;
+        case 2: g[i] = rng.uniformInt(2) ? 1e3f : -1e3f; break;
+        default: g[i] = static_cast<float>(rng.gaussian()); break;
+        }
+    }
+}
+
+/**
+ * Adam::step against the scalar double-precision formula it is
+ * defined by, bit for bit: every block length from a single element
+ * through partial vector tails up to a layer-sized block.
+ */
+TEST(Adam, StepMatchesScalarFormulaBitwise)
+{
+    const std::vector<std::size_t> sizes{1, 3, 4, 5, 7, 49929};
+    const double lr = 3e-4, beta1 = 0.9, beta2 = 0.999, eps = 1e-8;
+    Rng rng(41);
+
+    std::vector<std::vector<float>> params, grads;
+    for (std::size_t n : sizes) {
+        std::vector<float> p(n);
+        for (auto &v : p)
+            v = static_cast<float>(rng.gaussian());
+        params.push_back(p);
+        grads.emplace_back(n, 0.0f);
+    }
+    std::vector<std::vector<float>> ref_p = params;
+    std::vector<std::vector<float>> ref_m, ref_v;
+    std::vector<ParamBlock> blocks;
+    for (std::size_t k = 0; k < sizes.size(); ++k) {
+        blocks.push_back({params[k].data(), grads[k].data(), sizes[k]});
+        ref_m.emplace_back(sizes[k], 0.0f);
+        ref_v.emplace_back(sizes[k], 0.0f);
+    }
+    Adam adam(blocks, lr, beta1, beta2, eps);
+
+    for (long t = 1; t <= 5; ++t) {
+        for (std::size_t k = 0; k < sizes.size(); ++k)
+            fillMixedGradients(grads[k], rng);
+        adam.step(blocks);
+
+        const double alpha = lr * std::sqrt(1.0 - std::pow(beta2, t)) /
+                             (1.0 - std::pow(beta1, t));
+        for (std::size_t k = 0; k < sizes.size(); ++k) {
+            for (std::size_t i = 0; i < sizes[k]; ++i) {
+                const float g = grads[k][i];
+                float &m = ref_m[k][i];
+                float &v = ref_v[k][i];
+                m = static_cast<float>(beta1 * m + (1.0 - beta1) * g);
+                v = static_cast<float>(beta2 * v + (1.0 - beta2) * g * g);
+                ref_p[k][i] -= static_cast<float>(
+                    alpha * m / (std::sqrt(static_cast<double>(v)) + eps));
+            }
+            EXPECT_EQ(0, std::memcmp(params[k].data(), ref_p[k].data(),
+                                     sizes[k] * sizeof(float)))
+                << "params, block of " << sizes[k] << ", step " << t;
+            const Adam::State st = adam.state();
+            EXPECT_EQ(0, std::memcmp(st.m[k].data(), ref_m[k].data(),
+                                     sizes[k] * sizeof(float)))
+                << "first moment, block of " << sizes[k] << ", step " << t;
+            EXPECT_EQ(0, std::memcmp(st.v[k].data(), ref_v[k].data(),
+                                     sizes[k] * sizeof(float)))
+                << "second moment, block of " << sizes[k] << ", step " << t;
+        }
+    }
+}
+
+/**
+ * Adam state captured mid-run and restored into a fresh optimizer (the
+ * checkpoint path) continues bit-identically to the original.
+ */
+TEST(Adam, StateRoundTripContinuesBitwise)
+{
+    const std::vector<std::size_t> sizes{5, 49929};
+    Rng rng(42);
+    std::vector<std::vector<float>> p_a, p_b, grads;
+    for (std::size_t n : sizes) {
+        std::vector<float> p(n);
+        for (auto &v : p)
+            v = static_cast<float>(rng.gaussian());
+        p_a.push_back(p);
+        p_b.push_back(p);
+        grads.emplace_back(n, 0.0f);
+    }
+    std::vector<ParamBlock> blocks_a, blocks_b;
+    for (std::size_t k = 0; k < sizes.size(); ++k) {
+        blocks_a.push_back({p_a[k].data(), grads[k].data(), sizes[k]});
+        blocks_b.push_back({p_b[k].data(), grads[k].data(), sizes[k]});
+    }
+    Adam a(blocks_a, 1e-3);
+    for (int t = 0; t < 3; ++t) {
+        for (std::size_t k = 0; k < sizes.size(); ++k)
+            fillMixedGradients(grads[k], rng);
+        a.step(blocks_a);
+    }
+
+    const Adam::State saved = a.state();
+    Adam b(blocks_b, 1e-3);
+    b.setState(saved);
+    const Adam::State restored = b.state();
+    EXPECT_EQ(restored.t, saved.t);
+    for (std::size_t k = 0; k < sizes.size(); ++k) {
+        EXPECT_EQ(restored.m[k], saved.m[k]);
+        EXPECT_EQ(restored.v[k], saved.v[k]);
+        std::copy(p_a[k].begin(), p_a[k].end(), p_b[k].begin());
+    }
+
+    for (int t = 0; t < 2; ++t) {
+        for (std::size_t k = 0; k < sizes.size(); ++k)
+            fillMixedGradients(grads[k], rng);
+        a.step(blocks_a);
+        b.step(blocks_b);
+    }
+    for (std::size_t k = 0; k < sizes.size(); ++k)
+        EXPECT_EQ(0, std::memcmp(p_a[k].data(), p_b[k].data(),
+                                 sizes[k] * sizeof(float)))
+            << "block of " << sizes[k];
 }
 
 // ------------------------------------------------------ actor-critic --
