@@ -26,6 +26,10 @@
 #include "serve/net/frame.hpp"
 #include "serve/wire.hpp"
 
+#ifndef AUTOCAT_BUILD_TYPE
+#define AUTOCAT_BUILD_TYPE "unknown"
+#endif
+
 namespace autocat {
 namespace {
 
@@ -625,6 +629,9 @@ main(int argc, char **argv)
                      "bare Cache beyond noise\n");
         return 1;
     }
+    benchmark::AddCustomContext("matmul_backend",
+                                autocat::matmulBackend());
+    benchmark::AddCustomContext("build_type", AUTOCAT_BUILD_TYPE);
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

@@ -183,8 +183,9 @@ dotBlock(const float *a, const float *const *b, std::size_t k,
         p += 8;
     }
     for (int c = 0; c < C; ++c)
-        out[c] = dotTail(hsum8(_mm256_add_ps(acc0[c], acc1[c])), a + p,
-                         b[c] + p, k - p);
+        out[c] = hsum8(_mm256_add_ps(acc0[c], acc1[c]));
+    for (int c = 0; c < C; ++c)
+        out[c] = dotTail(out[c], a + p, b[c] + p, k - p);
 }
 
 /**
@@ -211,9 +212,10 @@ constexpr std::size_t kPanelFloats = 4096;
  * walked in L1-sized panels of rows, and every row of A passes a panel
  * before the next one is loaded, so B streams from L2 once per call
  * rather than once per row of A. Within a panel, 1 x 4 blocks share
- * each A vector; leftover columns run one at a time. (2 x 2 register
- * blocks measured at under half the speed of 1 x 4 at 500 x 251 -> 128
- * on AVX2.)
+ * each A vector; leftover columns run one at a time. (A 2 x 2 register
+ * block measured within a few percent of 1 x 4 at 500 x {128, 137,
+ * 251} -> 128, so one block shape serves training batches and the
+ * one-row inference forward alike.)
  */
 __attribute__((target("avx2,fma"))) void
 dotGemmAvx2(float *c, const float *a, const float *b, std::size_t m,
@@ -234,9 +236,9 @@ dotGemmAvx2(float *c, const float *a, const float *b, std::size_t m,
                 dotBlock<4>(arow, brows, k, out);
                 const __m128 bv = bias ? _mm_loadu_ps(bias + j)
                                        : _mm_setzero_ps();
+                const __m128 v = _mm_setr_ps(out[0], out[1], out[2], out[3]);
                 _mm_storeu_ps(crow + j,
-                              dotEpilogue(_mm_loadu_ps(out),
-                                          bias ? &bv : nullptr, relu));
+                              dotEpilogue(v, bias ? &bv : nullptr, relu));
             }
             for (; j < j1; ++j) {
                 const float *brow = b + j * k;

@@ -231,13 +231,14 @@ TEST(MatKernels, ActorCriticForwardNoGradIsRowPure)
 // ------------------------------------------------- bitwise oracle --
 
 /**
- * s + a[0]*b[0] + ... + a[count-1]*b[count-1] (strides @p as, @p bs),
- * added in order: products in whole groups of four are rounded before
- * they are added, the last count % 4 are fused.
+ * The kernels' tail order: s + a[0]*b[0] + ... + a[count-1]*b[count-1]
+ * (strides @p as, @p bs) added in order, products in whole groups of
+ * four rounded before they are added (volatile: never contracted), the
+ * last count % 4 fused.
  */
 float
-chunkedTail(float s, const float *a, std::size_t as, const float *b,
-            std::size_t bs, std::size_t count)
+tailOrder(float s, const float *a, std::size_t as, const float *b,
+          std::size_t bs, std::size_t count)
 {
     std::size_t p = 0;
     for (; p + 4 <= count; p += 4)
@@ -252,7 +253,7 @@ chunkedTail(float s, const float *a, std::size_t as, const float *b,
 
 /**
  * C = A * B: sequential over p, fused inside 16-column tiles; the
- * n % 16 tail columns in chunkedTail order.
+ * n % 16 tail columns in tail order.
  */
 Matrix
 fmaMatmul(const Matrix &a, const Matrix &b)
@@ -266,7 +267,7 @@ fmaMatmul(const Matrix &a, const Matrix &b)
                 for (std::size_t p = 0; p < a.cols(); ++p)
                     s = std::fma(a(i, p), b(p, j), s);
             } else {
-                s = chunkedTail(0.0f, a.rowPtr(i), 1, b.data() + j,
+                s = tailOrder(0.0f, a.rowPtr(i), 1, b.data() + j,
                                 b.cols(), a.cols());
             }
             c(i, j) = s;
@@ -292,8 +293,8 @@ fmaMatmulTransA(const Matrix &a, const Matrix &b)
 /**
  * The dot-product kernels' order: two 8-lane fma accumulators over
  * 16-float steps (an 8-float remainder goes to the first), their
- * lane-wise sum reduced as (l, l+4) → (l, l+2) → (0, 1), then a
- * sequential fma tail.
+ * lane-wise sum reduced as (l, l+4) → (l, l+2) → (0, 1), then the
+ * k % 8 remainder in tail order.
  */
 float
 fmaDot8(const float *a, const float *b, std::size_t k)
@@ -317,7 +318,7 @@ fmaDot8(const float *a, const float *b, std::size_t k)
     for (std::size_t l = 0; l < 4; ++l)
         h[l] = v[l] + v[l + 4];
     const float s = (h[0] + h[2]) + (h[1] + h[3]);
-    return chunkedTail(s, a + p, 1, b + p, 1, k - p);
+    return tailOrder(s, a + p, 1, b + p, 1, k - p);
 }
 
 /** y = x w^T (+ bias, then ReLU) with each element in fmaDot8 order. */
@@ -384,7 +385,7 @@ avx2Backend()
     return std::string(matmulBackend()) == "avx2+fma";
 }
 
-TEST(MatKernelsOracle, MatmulIsBitwiseSequentialFma)
+TEST(MatKernelsOracle, MatmulIsBitwiseCanonicalOrder)
 {
     if (!avx2Backend())
         GTEST_SKIP() << "the canonical orders are the avx2+fma kernels'";
