@@ -189,16 +189,16 @@ dotBlock(const float *a, const float *const *b, std::size_t k,
 }
 
 /**
- * Outputs of a dot kernel: bias (@p bias, lane-aligned with @p v, or
- * null) added after the dot, then ReLU as a select — a branch on the
- * output's sign mispredicts about half the time. Exactly `v < 0 ? 0 :
- * v` per lane, so -0 and NaN pass through like the scalar test.
+ * Outputs of a dot kernel: @p bias added after the dot, then ReLU as a
+ * select — a branch on the output's sign mispredicts about half the
+ * time. Exactly `v < 0 ? 0 : v` per lane, so -0 and NaN pass through
+ * like the scalar test. Without a bias, pass -0.0f lanes: -0 is the
+ * additive identity (x + -0 == x bit for bit, -0 included).
  */
 __attribute__((target("avx2,fma"))) inline __m128
-dotEpilogue(__m128 v, const __m128 *bias, bool relu)
+dotEpilogue(__m128 v, __m128 bias, bool relu)
 {
-    if (bias)
-        v = _mm_add_ps(v, *bias);
+    v = _mm_add_ps(v, bias);
     if (relu)
         v = _mm_andnot_ps(_mm_cmplt_ps(v, _mm_setzero_ps()), v);
     return v;
@@ -223,6 +223,7 @@ dotGemmAvx2(float *c, const float *a, const float *b, std::size_t m,
 {
     const std::size_t panel = std::max<std::size_t>(
         4, kPanelFloats / std::max<std::size_t>(k, 1) / 4 * 4);
+    const __m128 no_bias = _mm_set1_ps(-0.0f);
     for (std::size_t j0 = 0; j0 < n; j0 += panel) {
         const std::size_t j1 = std::min(n, j0 + panel);
         for (std::size_t i = 0; i < m; ++i) {
@@ -234,20 +235,20 @@ dotGemmAvx2(float *c, const float *a, const float *b, std::size_t m,
                                          b + (j + 2) * k, b + (j + 3) * k};
                 float out[4];
                 dotBlock<4>(arow, brows, k, out);
-                const __m128 bv = bias ? _mm_loadu_ps(bias + j)
-                                       : _mm_setzero_ps();
                 const __m128 v = _mm_setr_ps(out[0], out[1], out[2], out[3]);
                 _mm_storeu_ps(crow + j,
-                              dotEpilogue(v, bias ? &bv : nullptr, relu));
+                              dotEpilogue(v,
+                                          bias ? _mm_loadu_ps(bias + j)
+                                               : no_bias,
+                                          relu));
             }
             for (; j < j1; ++j) {
                 const float *brow = b + j * k;
                 float out[1];
                 dotBlock<1>(arow, &brow, k, out);
-                const __m128 bv = bias ? _mm_set_ss(bias[j])
-                                       : _mm_setzero_ps();
                 crow[j] = _mm_cvtss_f32(dotEpilogue(
-                    _mm_set_ss(out[0]), bias ? &bv : nullptr, relu));
+                    _mm_set_ss(out[0]),
+                    bias ? _mm_set_ss(bias[j]) : no_bias, relu));
             }
         }
     }
