@@ -327,8 +327,9 @@ laneMask(std::size_t w)
 
 /**
  * MR rows of C = op(A) * B from row i: 16-column tiles, then one tile
- * for the n % 16 tail columns (8 full lanes and/or a masked vector),
- * whose products p < @p tail_unfused are rounded before they are added.
+ * for the n % 16 tail columns (a full and a masked vector, or one
+ * masked vector), whose products p < @p tail_unfused are rounded before
+ * they are added.
  */
 template <int MR>
 __attribute__((target("avx2,fma"))) inline void
@@ -347,9 +348,6 @@ gemmRows(float *c, const float *a, std::size_t a_rs, std::size_t a_cs,
     if (rest > 8)
         gemmTile<MR, 2, true>(crow + j, arow, a_rs, a_cs, b + j, k, n,
                               laneMask(rest - 8), tail_unfused);
-    else if (rest == 8)
-        gemmTile<MR, 1, false>(crow + j, arow, a_rs, a_cs, b + j, k, n, all,
-                               tail_unfused);
     else if (rest > 0)
         gemmTile<MR, 1, true>(crow + j, arow, a_rs, a_cs, b + j, k, n,
                               laneMask(rest), tail_unfused);
