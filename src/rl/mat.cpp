@@ -154,14 +154,16 @@ hsum8(__m256 v)
 }
 
 /**
- * C dot products out[c] = dot(a, b[c]) over k, each in dot8 order. The
- * block only interleaves independent accumulations: 2C fma chains for
- * ILP, each vector of the A row loaded once for C rows of B.
+ * The vector part of C dot products dot(a, b[c]) in dot8 order: sum[c]
+ * receives acc0 + acc1, and the return value is how many of the k
+ * floats that covered (the rest is the tail). The block only
+ * interleaves independent accumulations: 2C fma chains for ILP, each
+ * vector of the A row loaded once for C rows of B.
  */
 template <int C>
-__attribute__((target("avx2,fma"))) inline void
-dotBlock(const float *a, const float *const *b, std::size_t k,
-         float (&out)[C])
+__attribute__((target("avx2,fma"))) inline std::size_t
+dotSums(const float *a, const float *const *b, std::size_t k,
+        __m256 (&sum)[C])
 {
     __m256 acc0[C], acc1[C];
     for (int c = 0; c < C; ++c)
@@ -183,9 +185,50 @@ dotBlock(const float *a, const float *const *b, std::size_t k,
         p += 8;
     }
     for (int c = 0; c < C; ++c)
-        out[c] = hsum8(_mm256_add_ps(acc0[c], acc1[c]));
-    for (int c = 0; c < C; ++c)
-        out[c] = dotTail(out[c], a + p, b[c] + p, k - p);
+        sum[c] = _mm256_add_ps(acc0[c], acc1[c]);
+    return p;
+}
+
+/**
+ * hsum8 of four vectors at once: lane c of the result is hsum8(v[c]),
+ * the same additions with the same operands in the same order.
+ */
+__attribute__((target("avx2,fma"))) inline __m128
+hsum8x4(const __m256 (&v)[4])
+{
+    // (l, l+4): [t0 | t1] and [t2 | t3], t_c[l] = v_c[l] + v_c[l+4].
+    const __m256 t01 =
+        _mm256_add_ps(_mm256_permute2f128_ps(v[0], v[1], 0x20),
+                      _mm256_permute2f128_ps(v[0], v[1], 0x31));
+    const __m256 t23 =
+        _mm256_add_ps(_mm256_permute2f128_ps(v[2], v[3], 0x20),
+                      _mm256_permute2f128_ps(v[2], v[3], 0x31));
+    // (l, l+2): [u00 u01 u20 u21 | u10 u11 u30 u31], u_cl = t_c[l] +
+    // t_c[l+2].
+    const __m256 u = _mm256_add_ps(_mm256_shuffle_ps(t01, t23, 0x44),
+                                   _mm256_shuffle_ps(t01, t23, 0xEE));
+    // (0, 1): [r0 r2 r0 r2 | r1 r3 r1 r3], r_c = u_c0 + u_c1.
+    const __m256 r = _mm256_add_ps(_mm256_shuffle_ps(u, u, 0x88),
+                                   _mm256_shuffle_ps(u, u, 0xDD));
+    return _mm_unpacklo_ps(_mm256_castps256_ps128(r),
+                           _mm256_extractf128_ps(r, 1));
+}
+
+/** dotTail for four dot products at once: lane c runs a against b[c]. */
+__attribute__((target("avx2,fma"))) inline __m128
+dotTail4(__m128 s, const float *a, const float *const *b, std::size_t p,
+         std::size_t k)
+{
+    const auto column = [b](std::size_t q) {
+        return _mm_setr_ps(b[0][q], b[1][q], b[2][q], b[3][q]);
+    };
+    for (; p + 4 <= k; p += 4)
+        for (std::size_t q = p; q < p + 4; ++q)
+            s = _mm_add_ps(s, rounded(_mm_mul_ps(_mm_set1_ps(a[q]),
+                                                 column(q))));
+    for (; p < k; ++p)
+        s = _mm_fmadd_ps(_mm_set1_ps(a[p]), column(p), s);
+    return s;
 }
 
 /**
@@ -233,9 +276,9 @@ dotGemmAvx2(float *c, const float *a, const float *b, std::size_t m,
             for (; j + 4 <= j1; j += 4) {
                 const float *brows[4] = {b + j * k, b + (j + 1) * k,
                                          b + (j + 2) * k, b + (j + 3) * k};
-                float out[4];
-                dotBlock<4>(arow, brows, k, out);
-                const __m128 v = _mm_setr_ps(out[0], out[1], out[2], out[3]);
+                __m256 sum[4];
+                const std::size_t p = dotSums<4>(arow, brows, k, sum);
+                const __m128 v = dotTail4(hsum8x4(sum), arow, brows, p, k);
                 _mm_storeu_ps(crow + j,
                               dotEpilogue(v,
                                           bias ? _mm_loadu_ps(bias + j)
@@ -244,11 +287,13 @@ dotGemmAvx2(float *c, const float *a, const float *b, std::size_t m,
             }
             for (; j < j1; ++j) {
                 const float *brow = b + j * k;
-                float out[1];
-                dotBlock<1>(arow, &brow, k, out);
+                __m256 sum[1];
+                const std::size_t p = dotSums<1>(arow, &brow, k, sum);
+                const float v =
+                    dotTail(hsum8(sum[0]), arow + p, brow + p, k - p);
                 crow[j] = _mm_cvtss_f32(dotEpilogue(
-                    _mm_set_ss(out[0]),
-                    bias ? _mm_set_ss(bias[j]) : no_bias, relu));
+                    _mm_set_ss(v), bias ? _mm_set_ss(bias[j]) : no_bias,
+                    relu));
             }
         }
     }
