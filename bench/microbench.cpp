@@ -151,19 +151,14 @@ BM_EnvStep(benchmark::State &state)
 BENCHMARK(BM_EnvStep);
 
 /**
- * Env-steps/sec through a VecEnv at 1/2/4/8 streams, sync vs
- * threaded. Arg0 = stream count, Arg1 = 1 for ThreadedVecEnv. The
- * items/sec rate IS the environment throughput; on a multi-core host
- * the threaded variant should scale with the stream count while sync
- * stays flat.
+ * Env-steps/sec through the SyncVecEnv at 1..256 streams. The
+ * items/sec rate IS the environment throughput, measured in wall time.
  */
 void
 BM_VecEnvThroughput(benchmark::State &state)
 {
     const auto streams = static_cast<std::size_t>(state.range(0));
-    const bool threaded = state.range(1) != 0;
-    auto vec = makeVecEnv("guessing_game", benchEnvConfig(), streams,
-                          threaded);
+    auto vec = makeVecEnv("guessing_game", benchEnvConfig(), streams);
     vec->resetAll();
     Rng rng(1);
     std::vector<std::size_t> actions(streams);
@@ -181,65 +176,9 @@ BM_VecEnvThroughput(benchmark::State &state)
         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_VecEnvThroughput)
-    ->ArgsProduct({{1, 2, 4, 8, 64, 256}, {0, 1}})
-    ->ArgNames({"streams", "threaded"});
-
-/**
- * The batch engine sweep: env-steps/sec stepping N streams through
- * SyncVecEnv::stepAll (per-env virtual dispatch, per-step observation
- * vectors) vs BatchEnvPool::stepBatch in-place (devirtualized flat
- * loop, rows maintained inside the persistent matrix). Arg0 = stream
- * count, Arg1 = 1 for the batch engine. Actions come from a
- * precomputed schedule so both modes time pure stepping cost; the
- * env_steps_per_sec counter is the headline rate.
- */
-void
-BM_EnvStepBatch(benchmark::State &state)
-{
-    const auto streams = static_cast<std::size_t>(state.range(0));
-    const bool batch = state.range(1) != 0;
-    auto vec =
-        makeVecEnv("guessing_game", benchEnvConfig(), streams,
-                   batch ? VecEnvKind::Batch : VecEnvKind::Sync);
-    vec->resetAll();
-
-    constexpr std::size_t kSchedule = 1024;
-    Rng rng(1);
-    std::vector<std::vector<std::size_t>> schedule(
-        kSchedule, std::vector<std::size_t>(streams));
-    for (auto &step_actions : schedule)
-        for (auto &a : step_actions)
-            a = rng.uniformInt(vec->numActions());
-
-    std::size_t t = 0;
-    if (batch) {
-        BatchStepSurface *surface = vec->batchSurface();
-        std::vector<double> rewards(streams);
-        std::vector<std::uint8_t> dones(streams);
-        std::vector<StepInfo> infos(streams);
-        for (auto _ : state) {
-            surface->stepBatchInPlace(schedule[t].data(), rewards.data(),
-                                      dones.data(), infos.data());
-            benchmark::DoNotOptimize(rewards.data());
-            t = (t + 1) % kSchedule;
-        }
-    } else {
-        for (auto _ : state) {
-            const VecStepResult vr = vec->stepAll(schedule[t]);
-            benchmark::DoNotOptimize(vr.rewards.data());
-            t = (t + 1) % kSchedule;
-        }
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<long>(streams));
-    state.counters["env_steps_per_sec"] = benchmark::Counter(
-        static_cast<double>(state.iterations()) *
-            static_cast<double>(streams),
-        benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_EnvStepBatch)
-    ->ArgsProduct({{1, 8, 64, 256}, {0, 1}})
-    ->ArgNames({"streams", "batch"});
+    ->ArgsProduct({{1, 2, 4, 8, 64, 256}})
+    ->ArgNames({"streams"})
+    ->UseRealTime();
 
 void
 BM_PolicyForward(benchmark::State &state)
@@ -303,21 +242,15 @@ BM_PolicyInferenceBatch(benchmark::State &state)
 }
 BENCHMARK(BM_PolicyInferenceBatch)->Arg(1)->Arg(4)->Arg(8);
 
-/**
- * Full PPO epoch (collect + update) at 1/4/8 streams, serial vs
- * double-buffered collection (Arg1 = 1 pipelines env stepping behind
- * the policy forward; needs >= 2 streams and a second core to win).
- */
+/** Full PPO epoch (collect + update) at 1/4/8 streams. */
 void
 BM_PpoEpoch(benchmark::State &state)
 {
     const auto streams = static_cast<std::size_t>(state.range(0));
-    const bool db = state.range(1) != 0;
     auto vec = makeVecEnv("guessing_game", benchEnvConfig(), streams);
     PpoConfig ppo;
     ppo.stepsPerEpoch = 512;
     ppo.minibatchSize = 128;
-    ppo.doubleBuffered = db;
     PpoTrainer trainer(*vec, ppo);
     for (auto _ : state)
         benchmark::DoNotOptimize(trainer.runEpoch().epoch);
@@ -327,8 +260,9 @@ BM_PpoEpoch(benchmark::State &state)
         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_PpoEpoch)
-    ->ArgsProduct({{1, 4, 8}, {0, 1}})
-    ->ArgNames({"streams", "db"})
+    ->ArgsProduct({{1, 4, 8}})
+    ->ArgNames({"streams"})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 /**

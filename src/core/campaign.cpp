@@ -5,7 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "env/batch_env_pool.hpp"
 #include "rl/checkpoint.hpp"
 #include "util/atomic_file.hpp"
 #include "util/binio.hpp"
@@ -202,34 +201,19 @@ TrainingSession::buildPhaseEnv(const CurriculumPhase &phase,
         decorate_(*game);
     };
 
-    const VecEnvKind kind = config_.base.batchEnv
-                                ? VecEnvKind::Batch
-                                : (config_.base.threadedEnvs
-                                       ? VecEnvKind::Threaded
-                                       : VecEnvKind::Sync);
     if (memory_) {
         // An externally-built memory system exists exactly once, so it
         // can back exactly one stream.
         std::vector<std::unique_ptr<Environment>> envs;
         envs.push_back(makeEnv(scenario, ctx, std::move(memory_)));
         decorate_stream(*envs.front());
-        switch (kind) {
-          case VecEnvKind::Batch:
-            vec_ = std::make_unique<BatchVecEnv>(std::move(envs));
-            break;
-          case VecEnvKind::Threaded:
-            vec_ = std::make_unique<ThreadedVecEnv>(std::move(envs));
-            break;
-          case VecEnvKind::Sync:
-            vec_ = std::make_unique<SyncVecEnv>(std::move(envs));
-            break;
-        }
+        vec_ = std::make_unique<SyncVecEnv>(std::move(envs));
     } else {
         vec_ = makeVecEnv(
             scenario, ctx,
             static_cast<std::size_t>(
                 std::max(1, config_.base.numStreams)),
-            kind, decorate_stream);
+            VecEnvKind::Sync, decorate_stream);
     }
 }
 

@@ -444,19 +444,10 @@ parseExplorationConfig(std::istream &in, const ConfigKeyHandler &extra)
         {"num_streams",
          [&](const std::string &v) {
              cfg.numStreams = parseConfigInt(v, "num_streams");
-         }},
-        {"threaded_envs",
-         [&](const std::string &v) {
-             cfg.threadedEnvs = parseConfigBool(v, "threaded_envs");
-         }},
-        {"batch_env",
-         [&](const std::string &v) {
-             cfg.batchEnv = parseConfigBool(v, "batch_env");
-         }},
-        {"double_buffered",
-         [&](const std::string &v) {
-             cfg.ppo.doubleBuffered =
-                 parseConfigBool(v, "double_buffered");
+             if (cfg.numStreams < 1) {
+                 throw std::invalid_argument(
+                     "config: num_streams must be >= 1: " + v);
+             }
          }},
         {"max_epochs",
          [&](const std::string &v) {
@@ -667,11 +658,6 @@ renderExplorationConfig(const ExplorationConfig &cfg)
         << "seed = " << cfg.env.seed << "\n"
         << "scenario = " << cfg.scenario << "\n"
         << "num_streams = " << cfg.numStreams << "\n"
-        << "threaded_envs = " << (cfg.threadedEnvs ? "true" : "false")
-        << "\n"
-        << "batch_env = " << (cfg.batchEnv ? "true" : "false") << "\n"
-        << "double_buffered = "
-        << (cfg.ppo.doubleBuffered ? "true" : "false") << "\n"
         << "ppo_seed = " << cfg.ppo.seed << "\n"
         << "steps_per_epoch = " << cfg.ppo.stepsPerEpoch << "\n"
         << "learning_rate = " << renderConfigDouble(cfg.ppo.lr) << "\n"

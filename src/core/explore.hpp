@@ -43,22 +43,6 @@ struct ExplorationConfig
      */
     int numStreams = 1;
 
-    /**
-     * Step the streams on a worker pool (ThreadedVecEnv). Orthogonal
-     * knob: ppo.doubleBuffered (config key double_buffered) overlaps
-     * env stepping with policy inference during collection.
-     */
-    bool threadedEnvs = false;
-
-    /**
-     * Collect through the SoA batch engine (BatchVecEnv): observation
-     * rows are maintained in place inside the matrix the policy GEMM
-     * consumes (config key batch_env). Trajectories are
-     * bitwise-identical to the sync/threaded adapters. Takes
-     * precedence over threadedEnvs when both are set.
-     */
-    bool batchEnv = false;
-
     /** Give up after this many epochs (paper: 1 epoch = 3000 steps). */
     int maxEpochs = 150;
 

@@ -54,7 +54,7 @@ class ActionSpace
     std::size_t size() const { return size_; }
 
     /** Decode an index into an Action. Inline: this runs once per
-     *  environment step on the batch engine's hot path. */
+     *  environment step. */
     Action
     decode(std::size_t index) const
     {

@@ -26,8 +26,7 @@
  * by a plain Cache exposes it through fastAttackerCache() /
  * fastVictimCache(), and CacheGuessingGame routes attacker accesses
  * (and, when allowed, the victim's single access) straight to
- * Cache::accessFast — the PR 7 batch-engine fast path, unchanged for
- * cache scenarios.
+ * Cache::accessFast.
  */
 
 #ifndef AUTOCAT_ENV_CHANNEL_MODEL_HPP

@@ -5,7 +5,6 @@
 #include <mutex>
 #include <stdexcept>
 
-#include "env/batch_env_pool.hpp"
 #include "env/channel_model.hpp"
 #include "env/guessing_game.hpp"
 
@@ -321,7 +320,7 @@ makeEnv(const std::string &name, const EnvConfig &config,
 
 std::unique_ptr<VecEnv>
 makeVecEnv(const std::string &name, const ScenarioContext &ctx,
-           std::size_t num_streams, VecEnvKind kind,
+           std::size_t num_streams, VecEnvKind,
            const std::function<void(Environment &)> &decorate)
 {
     if (num_streams == 0)
@@ -335,25 +334,7 @@ makeVecEnv(const std::string &name, const ScenarioContext &ctx,
         if (decorate)
             decorate(*envs.back());
     }
-    switch (kind) {
-      case VecEnvKind::Threaded:
-        return std::make_unique<ThreadedVecEnv>(std::move(envs));
-      case VecEnvKind::Batch:
-        return std::make_unique<BatchVecEnv>(std::move(envs));
-      case VecEnvKind::Sync:
-        break;
-    }
     return std::make_unique<SyncVecEnv>(std::move(envs));
-}
-
-std::unique_ptr<VecEnv>
-makeVecEnv(const std::string &name, const ScenarioContext &ctx,
-           std::size_t num_streams, bool threaded,
-           const std::function<void(Environment &)> &decorate)
-{
-    return makeVecEnv(name, ctx, num_streams,
-                      threaded ? VecEnvKind::Threaded : VecEnvKind::Sync,
-                      decorate);
 }
 
 std::unique_ptr<VecEnv>
@@ -362,15 +343,6 @@ makeVecEnv(const std::string &name, const EnvConfig &config,
            const std::function<void(Environment &)> &decorate)
 {
     return makeVecEnv(name, ScenarioContext(config), num_streams, kind,
-                      decorate);
-}
-
-std::unique_ptr<VecEnv>
-makeVecEnv(const std::string &name, const EnvConfig &config,
-           std::size_t num_streams, bool threaded,
-           const std::function<void(Environment &)> &decorate)
-{
-    return makeVecEnv(name, ScenarioContext(config), num_streams, threaded,
                       decorate);
 }
 

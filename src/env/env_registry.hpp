@@ -132,47 +132,34 @@ makeEnv(const std::string &name, const EnvConfig &config,
 /** Which VecEnv adapter makeVecEnv wraps the streams in. */
 enum class VecEnvKind
 {
-    Sync,      ///< SyncVecEnv: sequential on the caller
-    Threaded,  ///< ThreadedVecEnv: per-stream worker pool
-    Batch,     ///< BatchVecEnv: SoA pool, in-place observation rows
+    Sync,  ///< SyncVecEnv: sequential on the caller
 };
 
 /**
  * Build an N-stream vectorized environment from the registry. Stream i
  * is constructed with `ctx.env.seed + i` so runs are reproducible and
- * streams are decorrelated; every adapter kind produces
- * bitwise-identical trajectories to N sequential single-env runs.
+ * streams are decorrelated; trajectories are bitwise-identical to N
+ * sequential single-env runs.
  * Detector attachments in the context apply to every stream (each
  * stream gets its own detector instances).
  *
  * @param name        scenario name
  * @param ctx         shared context (env.seed becomes the base seed)
  * @param num_streams N >= 1
- * @param kind        adapter the streams are wrapped in
+ * @param kind        adapter the streams are wrapped in (only Sync)
  * @param decorate    optional per-stream hook (extra detectors, forced
  *                    state) run on each environment right after
  *                    construction and context attachment
  */
 std::unique_ptr<VecEnv>
 makeVecEnv(const std::string &name, const ScenarioContext &ctx,
-           std::size_t num_streams, VecEnvKind kind,
+           std::size_t num_streams, VecEnvKind kind = VecEnvKind::Sync,
            const std::function<void(Environment &)> &decorate = {});
 
-/** Bool shorthand kept for existing call sites: threaded/sync. */
-std::unique_ptr<VecEnv>
-makeVecEnv(const std::string &name, const ScenarioContext &ctx,
-           std::size_t num_streams, bool threaded = false,
-           const std::function<void(Environment &)> &decorate = {});
-
-/** EnvConfig shorthands (no detector attachments). */
+/** EnvConfig shorthand (no detector attachments). */
 std::unique_ptr<VecEnv>
 makeVecEnv(const std::string &name, const EnvConfig &config,
-           std::size_t num_streams, VecEnvKind kind,
-           const std::function<void(Environment &)> &decorate = {});
-
-std::unique_ptr<VecEnv>
-makeVecEnv(const std::string &name, const EnvConfig &config,
-           std::size_t num_streams, bool threaded = false,
+           std::size_t num_streams, VecEnvKind kind = VecEnvKind::Sync,
            const std::function<void(Environment &)> &decorate = {});
 
 } // namespace autocat

@@ -43,8 +43,7 @@ CacheGuessingGame::CacheGuessingGame(const EnvConfig &config,
     // Per-slot features: latency one-hot (3) + action one-hot (A) +
     // normalized step (1) + victim-triggered flag (1).
     slot_dim_ = 3 + actions_.size() + 2;
-    row_storage_.assign(observationSize(), 0.0f);
-    row_ = row_storage_.data();
+    row_.assign(observationSize(), 0.0f);
 
     flat_cache_ = channel_->fastAttackerCache();
     victim_flat_cache_ = channel_->fastVictimCache();
@@ -97,8 +96,7 @@ CacheGuessingGame::CacheGuessingGame(const EnvConfig &config,
             "env: useless_action_penalty must be >= 0");
     }
     track_last_ = mask_enabled_ || shaping_enabled_;
-    mask_storage_.assign(actions_.size(), std::uint8_t{1});
-    mask_ = mask_storage_.data();
+    mask_.assign(actions_.size(), std::uint8_t{1});
 }
 
 MemorySystem &
@@ -212,7 +210,7 @@ std::vector<float>
 CacheGuessingGame::reset()
 {
     resetRow();
-    return std::vector<float>(row_, row_ + observationSize());
+    return row_;
 }
 
 void
@@ -234,23 +232,12 @@ CacheGuessingGame::resetRow()
     addr_lat_post_visible_ = addr_lat_actual_;
     // The fresh row is episode-independent; copy the template instead
     // of re-encoding it.
-    std::memcpy(row_, fresh_row_.data(),
-                observationSize() * sizeof(float));
+    row_ = fresh_row_;
     if (track_last_) {
         last_action_ = -1;
         if (mask_enabled_)
             refreshMask();
     }
-}
-
-void
-CacheGuessingGame::bindMaskRow(std::uint8_t *row)
-{
-    std::uint8_t *target = row ? row : mask_storage_.data();
-    if (target == mask_)
-        return;
-    std::memcpy(target, mask_, actions_.size() * sizeof(std::uint8_t));
-    mask_ = target;
 }
 
 void
@@ -263,18 +250,8 @@ CacheGuessingGame::refreshMask()
         !config_.maskActions || victim_triggered_ ||
         !config_.requireTriggerBeforeGuess ||
         (config_.revealOnGuess && !revealed_);
-    actions_.writeMask(mask_, guesses_valid,
+    actions_.writeMask(mask_.data(), guesses_valid,
                        config_.maskUselessActions ? last_action_ : -1);
-}
-
-void
-CacheGuessingGame::bindObservationRow(float *row)
-{
-    float *target = row ? row : row_storage_.data();
-    if (target == row_)
-        return;
-    std::memcpy(target, row_, observationSize() * sizeof(float));
-    row_ = target;
 }
 
 void
@@ -364,7 +341,7 @@ CacheGuessingGame::buildObservationInto(float *out) const
 void
 CacheGuessingGame::advanceRowWindow()
 {
-    float *w = row_;
+    float *w = row_.data();
     std::memmove(w, w + slot_dim_,
                  (static_cast<std::size_t>(window_) - 1) * slot_dim_ *
                      sizeof(float));
@@ -382,7 +359,8 @@ CacheGuessingGame::refreshSummaryCells(std::size_t off)
 {
     const std::size_t num_addrs = addr_lat_visible_.size();
     float *episode =
-        row_ + static_cast<std::size_t>(window_) * slot_dim_ + 4 * off;
+        row_.data() + static_cast<std::size_t>(window_) * slot_dim_ +
+        4 * off;
     episode[0] = episode[1] = episode[2] = episode[3] = 0.0f;
     episode[addr_lat_visible_[off]] = 1.0f;
     float *post = episode + 4 * num_addrs;
@@ -394,7 +372,8 @@ void
 CacheGuessingGame::refreshPostRegion()
 {
     const std::size_t num_addrs = addr_lat_post_visible_.size();
-    float *post = row_ + static_cast<std::size_t>(window_) * slot_dim_ +
+    float *post = row_.data() +
+                  static_cast<std::size_t>(window_) * slot_dim_ +
                   4 * num_addrs;
     std::fill(post, post + 4 * num_addrs, 0.0f);
     for (std::size_t a = 0; a < num_addrs; ++a)
@@ -404,7 +383,8 @@ CacheGuessingGame::refreshPostRegion()
 void
 CacheGuessingGame::writeRowGlobals()
 {
-    float *g = row_ + static_cast<std::size_t>(window_) * slot_dim_ +
+    float *g = row_.data() +
+               static_cast<std::size_t>(window_) * slot_dim_ +
                8 * addr_lat_visible_.size();
     g[0] = revealed_ ? 1.0f : 0.0f;
     g[1] = victim_triggered_ ? 1.0f : 0.0f;
@@ -419,7 +399,7 @@ CacheGuessingGame::step(std::size_t action_index)
     result.reward = fs.reward;
     result.done = fs.done;
     result.info = fs.info;
-    result.obs.assign(row_, row_ + observationSize());
+    result.obs = row_;
     return result;
 }
 
@@ -585,7 +565,7 @@ CacheGuessingGame::stepFast(std::size_t action_index)
     pushHistory(action_index, lat);
 
     if (rebuild) {
-        buildObservationInto(row_);
+        buildObservationInto(row_.data());
     } else {
         advanceRowWindow();
         if (touched_addr >= 0)

@@ -72,12 +72,12 @@ class CacheGuessingGame : public Environment
     std::vector<float> reset() override;
     StepResult step(std::size_t action) override;
 
-    // Batch-stepping fast path ---------------------------------------
+    // Fast path ------------------------------------------------------
     /**
      * step() without materializing the observation vector. The
-     * persistent observation row (see bindObservationRow) is kept up
-     * to date incrementally; step() is a thin wrapper that copies it
-     * into the returned StepResult.
+     * persistent observation row is kept up to date incrementally;
+     * step() is a thin wrapper that copies it into the returned
+     * StepResult.
      */
     struct FastStep
     {
@@ -88,22 +88,8 @@ class CacheGuessingGame : public Environment
     FastStep stepFast(std::size_t action);
 
     /** reset() without materializing the observation vector; the
-     *  bound observation row is rebuilt in place. */
+     *  persistent observation row is rebuilt in place. */
     void resetRow();
-
-    /**
-     * Re-home the persistent observation row at @p row (size
-     * observationSize()), which the environment keeps current across
-     * reset()/step()/stepFast(). BatchEnvPool binds each stream's row
-     * into the batch matrix the policy GEMM consumes, so stepping
-     * writes observations straight into it — no per-env allocation,
-     * no copy. Pass nullptr to rebind the internal storage. The
-     * current row contents move to the new location.
-     */
-    void bindObservationRow(float *row);
-
-    /** The persistent observation row (valid after reset()). */
-    const float *observationRow() const { return row_; }
 
     // Action masking (sample-efficiency layer) ------------------------
     /**
@@ -115,16 +101,8 @@ class CacheGuessingGame : public Environment
      */
     const std::uint8_t *actionMask() const override
     {
-        return mask_enabled_ ? mask_ : nullptr;
+        return mask_enabled_ ? mask_.data() : nullptr;
     }
-
-    /**
-     * Re-home the persistent mask row at @p row (numActions() bytes),
-     * the uint8 analogue of bindObservationRow: BatchEnvPool binds each
-     * stream's mask row into its batch mask matrix so mask maintenance
-     * writes straight into it. Pass nullptr to rebind internal storage.
-     */
-    void bindMaskRow(std::uint8_t *row);
 
     /**
      * Encode the full observation from scratch. This is the oracle the
@@ -272,8 +250,7 @@ class CacheGuessingGame : public Environment
     bool shaping_enabled_ = false; ///< uselessActionPenalty != 0
     bool track_last_ = false;      ///< mask_enabled_ || shaping_enabled_
     std::ptrdiff_t last_action_ = -1;  ///< previous step's action index
-    std::vector<std::uint8_t> mask_storage_;
-    std::uint8_t *mask_ = nullptr;
+    std::vector<std::uint8_t> mask_;  ///< numActions() bytes
 
     /**
      * Fixed-capacity ring of the last window_ steps (oldest at
@@ -300,13 +277,10 @@ class CacheGuessingGame : public Environment
     std::vector<int> addr_lat_post_visible_;
 
     /**
-     * Persistent observation row. Defaults to internal storage; the
-     * batch engine re-homes it inside its SoA observation matrix
-     * (bindObservationRow). Invariant after reset()/step()/stepFast():
-     * row_[0..observationSize()) == rebuildObservation().
+     * Persistent observation row. Invariant after
+     * reset()/step()/stepFast(): row_ == rebuildObservation().
      */
-    std::vector<float> row_storage_;
-    float *row_ = nullptr;
+    std::vector<float> row_;
 
     /**
      * Normalized step fractions, precomputed so the per-step row

@@ -17,9 +17,8 @@
  *    output row is computed with an accumulation order that depends
  *    only on that row of A and on B — never on the number of other
  *    rows in the batch. Forwarding a batch in two halves is therefore
- *    bitwise identical to forwarding it whole, which is what lets the
- *    double-buffered PPO collector split a stream batch into groups
- *    without perturbing trajectories (see rl/ppo.hpp).
+ *    bitwise identical to forwarding it whole, so a stream's actions
+ *    do not depend on how many other streams share its batch.
  *
  * Each AVX2 kernel also has one canonical per-element accumulation
  * order, documented in mat.cpp and pinned bit for bit by

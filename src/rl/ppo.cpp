@@ -1,133 +1,12 @@
 #include "rl/ppo.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <condition_variable>
 #include <cstring>
-#include <mutex>
 #include <numeric>
 #include <stdexcept>
-#include <thread>
 
 namespace autocat {
-
-/**
- * Persistent background worker that advances a stream range of a
- * VecEnv while the caller keeps the policy busy. One job may be in
- * flight at a time: launch() publishes it, wait() blocks until the
- * step finishes and rethrows any environment exception on the calling
- * thread.
- */
-struct PpoTrainer::Pipeline
-{
-    Pipeline() : worker_([this] { loop(); }) {}
-
-    ~Pipeline()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            quit_ = true;
-            pending_ = true;
-        }
-        work_cv_.notify_all();
-        worker_.join();
-    }
-
-    void
-    launch(VecEnv &envs, std::size_t begin, std::size_t end,
-           const std::vector<std::size_t> &actions, VecStepResult &out)
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            envs_ = &envs;
-            begin_ = begin;
-            end_ = end;
-            actions_ = &actions;
-            out_ = &out;
-            pending_ = true;
-            done_ = false;
-        }
-        work_cv_.notify_all();
-    }
-
-    void
-    wait()
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        done_cv_.wait(lock, [&] { return done_; });
-        if (error_) {
-            std::exception_ptr e = std::move(error_);
-            error_ = nullptr;
-            std::rethrow_exception(e);
-        }
-    }
-
-    /**
-     * Wait for any in-flight job without rethrowing its error. Run
-     * before the job's target storage goes out of scope — in
-     * particular while unwinding, when the worker may still be
-     * writing into the caller's stack.
-     */
-    void
-    drain() noexcept
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        done_cv_.wait(lock, [&] { return done_; });
-        error_ = nullptr;
-    }
-
-  private:
-    void
-    loop()
-    {
-        for (;;) {
-            VecEnv *envs;
-            std::size_t begin, end;
-            const std::vector<std::size_t> *actions;
-            VecStepResult *out;
-            {
-                std::unique_lock<std::mutex> lock(mutex_);
-                work_cv_.wait(lock, [&] { return pending_; });
-                pending_ = false;
-                if (quit_)
-                    return;
-                envs = envs_;
-                begin = begin_;
-                end = end_;
-                actions = actions_;
-                out = out_;
-            }
-            try {
-                envs->stepRange(begin, end, *actions, *out);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(mutex_);
-                error_ = std::current_exception();
-            }
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                done_ = true;
-            }
-            done_cv_.notify_all();
-        }
-    }
-
-    std::mutex mutex_;
-    std::condition_variable work_cv_;
-    std::condition_variable done_cv_;
-    bool pending_ = false;
-    bool done_ = true;
-    bool quit_ = false;
-    VecEnv *envs_ = nullptr;
-    std::size_t begin_ = 0;
-    std::size_t end_ = 0;
-    const std::vector<std::size_t> *actions_ = nullptr;
-    VecStepResult *out_ = nullptr;
-    std::exception_ptr error_;
-    std::thread worker_;
-};
-
-PpoTrainer::~PpoTrainer() = default;
 
 PpoTrainer::PpoTrainer(VecEnv &envs, const PpoConfig &config)
     : envs_(&envs), config_(config), rng_(config.seed)
@@ -165,9 +44,8 @@ PpoTrainer::rebuildBuffer()
         (static_cast<std::size_t>(config_.stepsPerEpoch) + n - 1) / n;
     buffer_ = std::make_unique<RolloutBuffer>(steps_per_stream, n,
                                               envs_->observationSize());
-    // Streams either all mask or none do (BatchEnvPool enforces this;
-    // config-built SyncVecEnv streams share one EnvConfig), so stream 0
-    // answers for the batch.
+    // Streams either all mask or none do (config-built streams share
+    // one EnvConfig), so stream 0 answers for the batch.
     masking_ = envs_->env(0).actionMask() != nullptr;
     if (masking_)
         buffer_->enableMasks(envs_->numActions());
@@ -210,14 +88,7 @@ PpoTrainer::collect()
     }
     last_dones_.assign(n, 0);
 
-    // Double buffering needs two stream groups to alternate between.
-    BatchStepSurface *surface = envs_->batchSurface();
-    if (config_.doubleBuffered && n >= 2)
-        collectPipelined();
-    else if (surface)
-        collectBatchInPlace(*surface);
-    else
-        collectSerial();
+    collectSerial();
 
     // Bootstrap the value of the state each stream stopped in; streams
     // whose final transition ended an episode bootstrap from 0 (their
@@ -279,225 +150,6 @@ PpoTrainer::collectSerial()
         last_dones_ = vr.dones;
         current_obs_ = std::move(vr.obs);
     }
-}
-
-/*
- * In-place collection over a BatchStepSurface: the policy GEMM reads
- * the engine's persistent observation matrix directly and the
- * environments rewrite its rows as they step, so the per-step Matrix
- * allocation and row copies of collectSerial() disappear. The acting
- * observations are staged into the rollout *before* the step
- * overwrites them (RolloutBuffer::stageObs) — the same single copy the
- * serial path performs inside stepAll(), just without the allocation.
- * Forward, sampling, stepping, and bookkeeping run in the serial order
- * on identical values, so the rollout is bitwise-identical to
- * collectSerial() over SyncVecEnv with the same seeds.
- */
-void
-PpoTrainer::collectBatchInPlace(BatchStepSurface &surface)
-{
-    const std::size_t n = envs_->numEnvs();
-    std::vector<std::size_t> actions(n);
-    std::vector<double> values(n), log_probs(n);
-    std::vector<double> rewards(n);
-    std::vector<std::uint8_t> dones(n);
-    std::vector<StepInfo> infos(n);
-
-    const Matrix &obs = surface.obsMatrix();
-    const std::uint8_t *mm = surface.maskMatrix();
-    const std::size_t na = envs_->numActions();
-    assert(!masking_ || mm != nullptr);
-    while (!buffer_->full()) {
-        net_->forwardNoGrad(obs, fwd_out_);
-        if (masking_) {
-            // The engine maintains the mask matrix in place like the
-            // observation rows: stage the acting snapshot before the
-            // step rewrites it, sample straight from the live rows.
-            buffer_->stageMasks(mm);
-            for (std::size_t s = 0; s < n; ++s) {
-                const std::uint8_t *m = mm + s * na;
-                actions[s] =
-                    net_->sampleMasked(fwd_out_.logits, s, m, rng_);
-                log_probs[s] = ActorCritic::logProbMasked(
-                    fwd_out_.logits, s, actions[s], m);
-                values[s] = fwd_out_.values[s];
-            }
-        } else {
-            for (std::size_t s = 0; s < n; ++s) {
-                actions[s] = net_->sample(fwd_out_.logits, s, rng_);
-                log_probs[s] =
-                    ActorCritic::logProb(fwd_out_.logits, s, actions[s]);
-                values[s] = fwd_out_.values[s];
-            }
-        }
-
-        buffer_->stageObs(obs);
-        surface.stepBatchInPlace(actions.data(), rewards.data(),
-                                 dones.data(), infos.data());
-        total_env_steps_ += static_cast<long long>(n);
-        recordEpisodeStats(rewards, dones);
-        buffer_->commitStep(actions, rewards, dones, values, log_probs);
-        last_dones_ = dones;
-    }
-
-    // Refresh the cross-epoch mirror the shared bootstrap code (and a
-    // possible later non-batch path) reads.
-    current_obs_ = obs;
-}
-
-/*
- * Pipelined collection: streams are split into contiguous groups
- * A = [0, h) and B = [h, n). While the background worker advances one
- * group's environments, the calling thread runs the policy forward and
- * samples actions for the other:
- *
- *      main:    fwd A0 | fwd B0 | fwd A1 | fwd B1 | ...
- *      worker:         | step A0 | step B0 | step A1 | ...
- *
- * Sampling still consumes the trainer RNG in the serial order (all of
- * A's rows at step t, then all of B's), and the inference GEMM is
- * row-pure, so the collected rollout is bitwise identical to
- * collectSerial()'s.
- */
-void
-PpoTrainer::collectPipelined()
-{
-    const std::size_t n = envs_->numEnvs();
-    const std::size_t d = envs_->observationSize();
-    const std::size_t h = n / 2;  // group A = [0, h), B = [h, n)
-    const std::size_t steps = buffer_->capacitySteps();
-    if (!pipeline_)
-        pipeline_ = std::make_unique<Pipeline>();
-
-    // The worker writes into stack-local staging below; if anything on
-    // this thread throws mid-flight, the in-flight job must finish
-    // before those locals unwind.
-    struct DrainGuard
-    {
-        Pipeline *p;
-        ~DrainGuard() { p->drain(); }
-    } drain_guard{pipeline_.get()};
-
-    // Per-group observation staging (what each group acts from).
-    Matrix obs_a(h, d), obs_b(n - h, d);
-    for (std::size_t r = 0; r < h; ++r)
-        std::memcpy(obs_a.rowPtr(r), current_obs_.rowPtr(r),
-                    d * sizeof(float));
-    for (std::size_t r = 0; r < n - h; ++r)
-        std::memcpy(obs_b.rowPtr(r), current_obs_.rowPtr(h + r),
-                    d * sizeof(float));
-
-    // Shared step output; the worker writes only its group's rows.
-    VecStepResult step_out;
-    step_out.obs.resizeUninit(n, d);
-    step_out.rewards.resize(n);
-    step_out.dones.resize(n);
-    step_out.infos.resize(n);
-
-    // Two timesteps are in flight at once (group A runs one ahead), so
-    // the sampled transition data is double-buffered too.
-    const std::size_t na = envs_->numActions();
-    struct Stage
-    {
-        Matrix obs;  ///< full N x d acting observations
-        std::vector<std::size_t> actions;
-        std::vector<double> values;
-        std::vector<double> log_probs;
-        std::vector<std::uint8_t> masks;  ///< N x A acting masks
-    };
-    Stage cur, next;
-    for (Stage *st : {&cur, &next}) {
-        st->obs.resizeUninit(n, d);
-        st->actions.resize(n);
-        st->values.resize(n);
-        st->log_probs.resize(n);
-        if (masking_)
-            st->masks.resize(n * na);
-    }
-
-    // Forward + sample one group's rows into a stage buffer. While
-    // this runs, the worker only ever steps the *other* group, so this
-    // group's observation rows and mask rows are idle — the mask
-    // snapshot below reads stable memory.
-    const auto forwardSample = [&](const Matrix &obs_g, std::size_t begin,
-                                   std::size_t end, Stage &st) {
-        for (std::size_t r = 0; r < end - begin; ++r)
-            std::memcpy(st.obs.rowPtr(begin + r), obs_g.rowPtr(r),
-                        d * sizeof(float));
-        net_->forwardNoGrad(obs_g, fwd_out_);
-        if (masking_) {
-            for (std::size_t s = begin; s < end; ++s)
-                std::memcpy(st.masks.data() + s * na,
-                            envs_->env(s).actionMask(), na);
-            for (std::size_t s = begin; s < end; ++s) {
-                const std::size_t r = s - begin;
-                const std::uint8_t *m = st.masks.data() + s * na;
-                st.actions[s] =
-                    net_->sampleMasked(fwd_out_.logits, r, m, rng_);
-                st.log_probs[s] = ActorCritic::logProbMasked(
-                    fwd_out_.logits, r, st.actions[s], m);
-                st.values[s] = fwd_out_.values[r];
-            }
-        } else {
-            for (std::size_t s = begin; s < end; ++s) {
-                const std::size_t r = s - begin;
-                st.actions[s] = net_->sample(fwd_out_.logits, r, rng_);
-                st.log_probs[s] = ActorCritic::logProb(fwd_out_.logits,
-                                                       r, st.actions[s]);
-                st.values[s] = fwd_out_.values[r];
-            }
-        }
-    };
-
-    // Copy a group's freshly stepped rows out of the shared staging.
-    const auto harvest = [&](Matrix &obs_g, std::size_t begin,
-                             std::size_t end) {
-        for (std::size_t r = 0; r < end - begin; ++r)
-            std::memcpy(obs_g.rowPtr(r), step_out.obs.rowPtr(begin + r),
-                        d * sizeof(float));
-    };
-
-    forwardSample(obs_a, 0, h, cur);
-    pipeline_->launch(*envs_, 0, h, cur.actions, step_out);
-
-    for (std::size_t t = 0; t < steps; ++t) {
-        const bool more = t + 1 < steps;
-
-        forwardSample(obs_b, h, n, cur);  // overlaps A's env step
-        pipeline_->wait();                // A rows of step_out valid
-        pipeline_->launch(*envs_, h, n, cur.actions, step_out);
-
-        harvest(obs_a, 0, h);
-        if (more)
-            forwardSample(obs_a, 0, h, next);  // overlaps B's env step
-        pipeline_->wait();                     // B rows valid
-        harvest(obs_b, h, n);
-
-        recordEpisodeStats(step_out.rewards, step_out.dones);
-        total_env_steps_ += static_cast<long long>(n);
-        last_dones_ = step_out.dones;
-        if (masking_)
-            buffer_->stageMasks(cur.masks.data());
-        buffer_->addStep(std::move(cur.obs), cur.actions, step_out.rewards,
-                         step_out.dones, cur.values, cur.log_probs);
-
-        if (more) {
-            std::swap(cur, next);
-            // cur.obs was moved into the buffer and swapped into next;
-            // restore its shape for the following timestep.
-            next.obs.resizeUninit(n, d);
-            pipeline_->launch(*envs_, 0, h, cur.actions, step_out);
-        }
-    }
-
-    // Reassemble the persistent cross-epoch observation state.
-    current_obs_.resizeUninit(n, d);
-    for (std::size_t r = 0; r < h; ++r)
-        std::memcpy(current_obs_.rowPtr(r), obs_a.rowPtr(r),
-                    d * sizeof(float));
-    for (std::size_t r = 0; r < n - h; ++r)
-        std::memcpy(current_obs_.rowPtr(h + r), obs_b.rowPtr(r),
-                    d * sizeof(float));
 }
 
 void

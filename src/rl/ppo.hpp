@@ -14,17 +14,6 @@
  * boundaries per stream for GAE. N = 1 over a single environment
  * reproduces the classic single-worker loop exactly.
  *
- * With PpoConfig::doubleBuffered set, collection is additionally
- * pipelined: the N streams are split into two contiguous groups, and
- * while one group's environments advance on a background worker
- * (VecEnv::stepRange), the policy forward + action sampling for the
- * other group runs on the calling thread — env stepping and inference
- * overlap instead of alternating. Because the inference GEMM is
- * row-pure (rl/mat.hpp) and the groups preserve the serial sampling
- * order, the pipelined schedule produces *bitwise-identical* rollouts,
- * weights, and metrics to the serial one for a fixed seed; the toggle
- * trades nothing but the worker thread.
- *
  * One "epoch" is paper-aligned: 3000 environment steps of collection
  * (across all streams) followed by minibatch updates (Table V
  * footnote: "One epoch is 3000 training steps").
@@ -72,14 +61,6 @@ struct PpoConfig
     std::size_t hidden = 128;
     std::size_t layers = 2;
     std::uint64_t seed = 1;
-
-    /**
-     * Overlap env stepping with policy inference during collection
-     * (config-file key: double_buffered). Requires >= 2 streams to
-     * have an effect; rollouts are bitwise-identical either way (see
-     * the file comment).
-     */
-    bool doubleBuffered = false;
 };
 
 /** Aggregate metrics from a batch of evaluation episodes. */
@@ -121,8 +102,6 @@ class PpoTrainer
      * 1-stream SyncVecEnv. @p env must outlive the trainer.
      */
     PpoTrainer(Environment &env, const PpoConfig &config);
-
-    ~PpoTrainer();
 
     /** Collect stepsPerEpoch transitions and run the PPO update. */
     EpochStats runEpoch();
@@ -183,13 +162,8 @@ class PpoTrainer
     /** Serialization backdoor (rl/checkpoint.cpp only). */
     friend struct PpoCheckpointAccess;
 
-    /** Background env-stepping worker for double-buffered collection. */
-    struct Pipeline;
-
     void collect();
     void collectSerial();
-    void collectBatchInPlace(BatchStepSurface &surface);
-    void collectPipelined();
     void recordEpisodeStats(const std::vector<double> &rewards,
                             const std::vector<std::uint8_t> &dones);
     void update(EpochStats &stats);
@@ -203,8 +177,7 @@ class PpoTrainer
     std::unique_ptr<ActorCritic> net_;
     std::unique_ptr<Adam> adam_;
     std::unique_ptr<RolloutBuffer> buffer_;
-    std::unique_ptr<Pipeline> pipeline_;  ///< lazily started worker
-    AcOutput fwd_out_;                    ///< reusable inference output
+    AcOutput fwd_out_;  ///< reusable inference output
 
     // Minibatch-update workspaces (softmaxEntropyRowsInto); reused
     // across minibatches so the update loop allocates no per-row

@@ -45,26 +45,27 @@ RolloutBuffer::addStep(Matrix &&obs, const std::vector<std::size_t> &actions,
                        const std::vector<double> &values,
                        const std::vector<double> &log_probs)
 {
-    assert(steps_added_ < steps_ && !staged_);
+    assert(steps_added_ < steps_);
     assert(obs.rows() == streams_ && obs.cols() == obs_dim_);
+    assert((num_actions_ == 0 || mask_staged_) &&
+           "addStep: masked buffer stepped without stageMasks()");
+    assert(actions.size() == streams_ && rewards.size() == streams_ &&
+           dones.size() == streams_ && values.size() == streams_ &&
+           log_probs.size() == streams_);
     obs_steps_.push_back(std::move(obs));
-    staged_ = true;
-    commitStep(actions, rewards, dones, values, log_probs);
-}
-
-void
-RolloutBuffer::stageObs(const Matrix &obs)
-{
-    assert(steps_added_ < steps_ && !staged_);
-    assert(obs.rows() == streams_ && obs.cols() == obs_dim_);
-    obs_steps_.push_back(obs);
-    staged_ = true;
+    actions_.insert(actions_.end(), actions.begin(), actions.end());
+    rewards_.insert(rewards_.end(), rewards.begin(), rewards.end());
+    dones_.insert(dones_.end(), dones.begin(), dones.end());
+    values_.insert(values_.end(), values.begin(), values.end());
+    log_probs_.insert(log_probs_.end(), log_probs.begin(), log_probs.end());
+    ++steps_added_;
+    mask_staged_ = false;
 }
 
 void
 RolloutBuffer::enableMasks(std::size_t num_actions)
 {
-    assert(steps_added_ == 0 && !staged_ &&
+    assert(steps_added_ == 0 &&
            "enableMasks: buffer already holds transitions");
     assert(num_actions > 0);
     num_actions_ = num_actions;
@@ -96,34 +97,11 @@ RolloutBuffer::gatherMasksInto(std::vector<std::uint8_t> &out,
     }
 }
 
-void
-RolloutBuffer::commitStep(const std::vector<std::size_t> &actions,
-                          const std::vector<double> &rewards,
-                          const std::vector<std::uint8_t> &dones,
-                          const std::vector<double> &values,
-                          const std::vector<double> &log_probs)
-{
-    assert(staged_);
-    assert((num_actions_ == 0 || mask_staged_) &&
-           "commitStep: masked buffer committed without stageMasks()");
-    assert(actions.size() == streams_ && rewards.size() == streams_ &&
-           dones.size() == streams_ && values.size() == streams_ &&
-           log_probs.size() == streams_);
-    actions_.insert(actions_.end(), actions.begin(), actions.end());
-    rewards_.insert(rewards_.end(), rewards.begin(), rewards.end());
-    dones_.insert(dones_.end(), dones.begin(), dones.end());
-    values_.insert(values_.end(), values.begin(), values.end());
-    log_probs_.insert(log_probs_.end(), log_probs.begin(), log_probs.end());
-    ++steps_added_;
-    staged_ = false;
-    mask_staged_ = false;
-}
 
 void
 RolloutBuffer::clear()
 {
     steps_added_ = 0;
-    staged_ = false;
     mask_staged_ = false;
     masks_.clear();
     obs_steps_.clear();

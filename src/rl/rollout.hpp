@@ -56,23 +56,10 @@ class RolloutBuffer
                  const std::vector<double> &log_probs);
 
     /**
-     * Two-phase variant for in-place collection (BatchStepSurface):
-     * stageObs() copies the acting observations into the pending step
-     * *before* the environments overwrite them, commitStep() records
-     * the step's outcomes afterwards. addStep() == stage(move)+commit.
-     */
-    void stageObs(const Matrix &obs);
-    void commitStep(const std::vector<std::size_t> &actions,
-                    const std::vector<double> &rewards,
-                    const std::vector<std::uint8_t> &dones,
-                    const std::vector<double> &values,
-                    const std::vector<double> &log_probs);
-
-    /**
      * Turn on per-step action-mask storage (masked-policy training).
      * Must be called before the first transition is stored; once
      * enabled, every step must stage its N x @p num_actions mask
-     * snapshot via stageMasks() before commitStep() (asserted), so the
+     * snapshot via stageMasks() before addStep() (asserted), so the
      * update phase can replay exactly the masks the policy acted under.
      * Mask storage survives clear() — only the contents are dropped.
      */
@@ -84,9 +71,8 @@ class RolloutBuffer
     /**
      * Stage the acting masks for the pending step: @p masks is the
      * row-major N x numActions snapshot *before* the environments
-     * advance (the masks the policy sampled under). May be called
-     * before or after stageObs()/the addStep() move, but must precede
-     * the step's commit; masks must be enabled.
+     * advance (the masks the policy sampled under). Must precede the
+     * step's addStep(); masks must be enabled.
      */
     void stageMasks(const std::uint8_t *masks);
 
@@ -153,7 +139,6 @@ class RolloutBuffer
     std::size_t obs_dim_;
     std::size_t num_actions_ = 0;  ///< mask width; 0 = masks disabled
     std::size_t steps_added_ = 0;
-    bool staged_ = false;       ///< stageObs() awaiting its commitStep()
     bool mask_staged_ = false;  ///< stageMasks() seen for pending step
     std::vector<Matrix> obs_steps_;  ///< one N x obs_dim matrix per step
     std::vector<std::uint8_t> masks_;  ///< flat time-major N x A rows

@@ -1,6 +1,5 @@
 #include "rl/vec_env.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
@@ -42,22 +41,6 @@ stepStream(Environment &env, std::size_t action, std::size_t i,
 }
 
 } // namespace
-
-void
-VecEnv::stepRange(std::size_t begin, std::size_t end,
-                  const std::vector<std::size_t> &actions,
-                  VecStepResult &out)
-{
-    assert(begin <= end && end <= numEnvs());
-    assert(actions.size() == numEnvs());
-    assert(out.obs.rows() == numEnvs() &&
-           out.obs.cols() == observationSize());
-    assert(out.rewards.size() == numEnvs() &&
-           out.dones.size() == numEnvs() && out.infos.size() == numEnvs());
-    for (std::size_t i = begin; i < end; ++i)
-        stepStream(env(i), actions[i], i, out.obs, out.rewards, out.dones,
-                   out.infos);
-}
 
 // ------------------------------------------------------------ SyncVecEnv
 
@@ -113,63 +96,6 @@ SyncVecEnv::stepAll(const std::vector<std::size_t> &actions)
         stepStream(*envs_[i], actions[i], i, r.obs, r.rewards, r.dones,
                    r.infos);
     return r;
-}
-
-// -------------------------------------------------------- ThreadedVecEnv
-
-ThreadedVecEnv::ThreadedVecEnv(
-    std::vector<std::unique_ptr<Environment>> envs, std::size_t num_threads)
-    : envs_(std::move(envs)),
-      pool_(num_threads, /*max_useful=*/envs_.size())
-{
-    std::vector<Environment *> raw;
-    raw.reserve(envs_.size());
-    for (auto &e : envs_)
-        raw.push_back(e.get());
-    validateStreams(raw);
-    obs_dim_ = envs_.front()->observationSize();
-    num_actions_ = envs_.front()->numActions();
-}
-
-Matrix
-ThreadedVecEnv::resetAll()
-{
-    Matrix obs;
-    obs.resizeUninit(envs_.size(), obs_dim_);
-    pool_.parallelFor(0, envs_.size(), [&](std::size_t i) {
-        const std::vector<float> row = envs_[i]->reset();
-        std::memcpy(obs.rowPtr(i), row.data(), row.size() * sizeof(float));
-    });
-    return obs;
-}
-
-VecStepResult
-ThreadedVecEnv::stepAll(const std::vector<std::size_t> &actions)
-{
-    VecStepResult r;
-    r.obs.resizeUninit(envs_.size(), obs_dim_);
-    r.rewards.resize(envs_.size());
-    r.dones.resize(envs_.size());
-    r.infos.resize(envs_.size());
-    stepRange(0, envs_.size(), actions, r);
-    return r;
-}
-
-void
-ThreadedVecEnv::stepRange(std::size_t begin, std::size_t end,
-                          const std::vector<std::size_t> &actions,
-                          VecStepResult &out)
-{
-    assert(begin <= end && end <= envs_.size());
-    assert(actions.size() == envs_.size());
-    assert(out.obs.rows() == envs_.size() && out.obs.cols() == obs_dim_);
-    assert(out.rewards.size() == envs_.size() &&
-           out.dones.size() == envs_.size() &&
-           out.infos.size() == envs_.size());
-    pool_.parallelFor(begin, end, [&](std::size_t i) {
-        stepStream(*envs_[i], actions[i], i, out.obs, out.rewards,
-                   out.dones, out.infos);
-    });
 }
 
 } // namespace autocat

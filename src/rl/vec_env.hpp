@@ -10,17 +10,9 @@
  * next episode (the done flag and step info still describe the step
  * that ended the episode).
  *
- * Two adapters are provided: SyncVecEnv steps the streams sequentially
- * on the calling thread (zero overhead, deterministic), ThreadedVecEnv
- * fans the per-stream work out to a persistent worker pool (same
- * semantics, higher env-steps/sec once per-step work dominates dispatch
- * cost). Both produce bitwise-identical trajectories because each
- * stream owns its state and RNG; thread scheduling cannot reorder
- * anything observable.
- *
- * Besides the full-batch stepAll(), stepRange() advances a contiguous
- * sub-batch of streams into caller-owned storage — the primitive the
- * PPO trainer's double-buffered collection pipelines on (rl/ppo.hpp).
+ * SyncVecEnv steps the streams sequentially on the calling thread.
+ * Each stream owns its state and RNG, so N streams produce the same
+ * trajectories as N sequential single-env runs.
  */
 
 #ifndef AUTOCAT_RL_VEC_ENV_HPP
@@ -32,7 +24,6 @@
 
 #include "rl/env_interface.hpp"
 #include "rl/mat.hpp"
-#include "util/task_pool.hpp"
 
 namespace autocat {
 
@@ -49,58 +40,11 @@ struct VecStepResult
     std::vector<StepInfo> infos;        ///< per-stream step metadata
 };
 
-/**
- * Optional in-place batch-stepping capability. An adapter that keeps a
- * persistent N x obs_dim observation matrix — each stream's row is
- * rewritten in place as the stream advances, with auto-reset semantics
- * identical to VecEnv::stepAll() — exposes this surface so the PPO
- * trainer can run the policy GEMM directly on the engine's matrix and
- * skip the per-step Matrix allocation + row copies of the generic
- * stepAll() path. Implemented by BatchVecEnv (env/batch_env_pool.hpp).
- */
-class BatchStepSurface
-{
-  public:
-    virtual ~BatchStepSurface() = default;
-
-    /** The persistent observation matrix (valid after resetAllInPlace
-     *  or VecEnv::resetAll on the same adapter). */
-    virtual const Matrix &obsMatrix() const = 0;
-
-    /**
-     * Advance every stream one step, rewriting obsMatrix() rows in
-     * place. @p actions, @p rewards, @p dones, @p infos all have one
-     * slot per stream.
-     */
-    virtual void stepBatchInPlace(const std::size_t *actions,
-                                  double *rewards, std::uint8_t *dones,
-                                  StepInfo *infos) = 0;
-
-    /** Reset every stream, refreshing obsMatrix() rows in place. */
-    virtual void resetAllInPlace() = 0;
-
-    /**
-     * Row-major numEnvs x numActions action-validity mask matrix kept
-     * current alongside obsMatrix() (each stream's row is rewritten in
-     * place as the stream steps/resets), or nullptr when the streams do
-     * not mask actions. Same zero-copy contract as the observation
-     * matrix: the trainer reads rows straight out of the engine.
-     */
-    virtual const std::uint8_t *maskMatrix() const { return nullptr; }
-};
-
 /** Batched Gym-like interface over N environment streams. */
 class VecEnv
 {
   public:
     virtual ~VecEnv() = default;
-
-    /**
-     * The adapter's in-place batch-stepping surface, or nullptr when
-     * it does not maintain a persistent observation matrix (the
-     * generic adapters below).
-     */
-    virtual BatchStepSurface *batchSurface() { return nullptr; }
 
     /** Number of streams. */
     virtual std::size_t numEnvs() const = 0;
@@ -119,29 +63,6 @@ class VecEnv
      * episodes end are reset automatically; see VecStepResult::obs.
      */
     virtual VecStepResult stepAll(const std::vector<std::size_t> &actions) = 0;
-
-    /**
-     * Step only the streams in [begin, end) into caller-owned storage
-     * — the sub-batch primitive behind double-buffered collection
-     * (rl/ppo.hpp), where one group of streams steps while the policy
-     * forward for the other group runs.
-     *
-     *  Pre:  begin <= end <= numEnvs(); @p actions has size numEnvs()
-     *        (entries outside the range are ignored); @p out is
-     *        pre-sized — obs numEnvs() x observationSize(), vectors
-     *        numEnvs().
-     *  Post: rows/slots [begin, end) of @p out hold the step results
-     *        (auto-reset semantics identical to stepAll()); slots
-     *        outside the range are untouched.
-     *
-     * The base implementation steps sequentially on the calling
-     * thread; adapters may parallelize. Must not be called
-     * concurrently with itself on an overlapping range, or with
-     * resetAll()/stepAll().
-     */
-    virtual void stepRange(std::size_t begin, std::size_t end,
-                           const std::vector<std::size_t> &actions,
-                           VecStepResult &out);
 
     /**
      * Direct access to stream @p i — for decoration (detectors),
@@ -174,48 +95,6 @@ class SyncVecEnv : public VecEnv
   private:
     std::vector<std::unique_ptr<Environment>> owned_;
     std::vector<Environment *> envs_;
-};
-
-/**
- * Worker-pool adapter: stepAll()/resetAll() dispatch each stream to a
- * persistent TaskPool (util/task_pool.hpp) and block until the batch
- * is complete. Trajectories are bitwise-identical to SyncVecEnv over
- * the same environments: each stream owns its state and writes only
- * its own output row, so the pool's claiming order is unobservable.
- */
-class ThreadedVecEnv : public VecEnv
-{
-  public:
-    /**
-     * @param envs        owned streams (all non-null, same dimensions)
-     * @param num_threads worker count; 0 selects
-     *                    min(numEnvs, hardware_concurrency)
-     */
-    explicit ThreadedVecEnv(std::vector<std::unique_ptr<Environment>> envs,
-                            std::size_t num_threads = 0);
-
-    ThreadedVecEnv(const ThreadedVecEnv &) = delete;
-    ThreadedVecEnv &operator=(const ThreadedVecEnv &) = delete;
-
-    std::size_t numEnvs() const override { return envs_.size(); }
-    std::size_t observationSize() const override { return obs_dim_; }
-    std::size_t numActions() const override { return num_actions_; }
-    Matrix resetAll() override;
-    VecStepResult stepAll(const std::vector<std::size_t> &actions) override;
-    /** Parallel sub-batch step over [begin, end) on the pool. */
-    void stepRange(std::size_t begin, std::size_t end,
-                   const std::vector<std::size_t> &actions,
-                   VecStepResult &out) override;
-    Environment &env(std::size_t i) override { return *envs_[i]; }
-
-    /** Worker threads actually running. */
-    std::size_t numThreads() const { return pool_.numThreads(); }
-
-  private:
-    std::vector<std::unique_ptr<Environment>> envs_;
-    std::size_t obs_dim_ = 0;
-    std::size_t num_actions_ = 0;
-    TaskPool pool_;
 };
 
 } // namespace autocat

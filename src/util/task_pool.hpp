@@ -2,12 +2,10 @@
  * @file
  * Persistent worker pool for index-parallel batches.
  *
- * Extracted from ThreadedVecEnv so every subsystem that fans
- * independent, index-addressed work out to threads — env stream
- * stepping (rl/vec_env.hpp), sweep campaign cells (eval/sweep.hpp) —
- * shares one proven dispatch mechanism: a generation-counted batch
- * command, dynamic index claiming, first-exception capture, and a
- * blocking caller.
+ * Fans independent, index-addressed work out to threads (the sweep's
+ * in-process cell workers, eval/sweep.hpp) with a generation-counted
+ * batch command, dynamic index claiming, first-exception capture, and
+ * a blocking caller.
  *
  * Batches are claimed dynamically (an atomic cursor handing out
  * contiguous chunks), so unequal task costs balance across workers;

@@ -98,16 +98,33 @@ TEST(ConfigParser, DefaultsWhenEmpty)
     EXPECT_EQ(cfg.maxEpochs, fresh.maxEpochs);
 }
 
-TEST(ConfigParser, BatchEnvKeyRoundTrips)
+TEST(ConfigParser, RetiredExecutionModeKeysAreUnknown)
 {
-    const ExplorationConfig cfg =
-        parseExplorationConfig(std::string("batch_env = true"));
-    EXPECT_TRUE(cfg.batchEnv);
-    const ExplorationConfig fresh;
-    EXPECT_FALSE(fresh.batchEnv);
-    const std::string rendered = renderExplorationConfig(cfg);
-    EXPECT_NE(rendered.find("batch_env = true"), std::string::npos);
-    EXPECT_TRUE(parseExplorationConfig(rendered).batchEnv);
+    // threaded_envs, batch_env and double_buffered selected collection
+    // modes that no longer exist; an old config naming them must fail
+    // instead of silently training on the one remaining path.
+    for (const char *key : {"threaded_envs", "batch_env", "double_buffered"}) {
+        try {
+            parseExplorationConfig(std::string(key) + " = false");
+            ADD_FAILURE() << key << " parsed";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("config: unknown option '" +
+                                                 std::string(key) + "'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(ConfigParser, NumStreamsBelowOneIsRejected)
+{
+    EXPECT_THROW(parseExplorationConfig(std::string("num_streams = 0")),
+                 std::invalid_argument);
+    EXPECT_THROW(parseExplorationConfig(std::string("num_streams = -1")),
+                 std::invalid_argument);
+    EXPECT_EQ(parseExplorationConfig(std::string("num_streams = 1"))
+                  .numStreams,
+              1);
 }
 
 TEST(ConfigParser, UnknownKeyFailsLoudly)
@@ -509,9 +526,6 @@ randomConfig(Rng &rng)
     cfg.evalEpisodes = 1 + static_cast<int>(rng.uniformInt(200));
     cfg.verbose = rng.bernoulli(0.5);
     cfg.numStreams = 1 + static_cast<int>(rng.uniformInt(8));
-    cfg.threadedEnvs = rng.bernoulli(0.5);
-    cfg.batchEnv = rng.bernoulli(0.5);
-    cfg.ppo.doubleBuffered = rng.bernoulli(0.5);
 
     if (rng.bernoulli(0.6)) {
         const unsigned depth = 1 + static_cast<unsigned>(rng.uniformInt(3));

@@ -3,17 +3,21 @@
  * Tests for the guessing-game environment: action-space layout,
  * observation encoding, reward semantics, episode modes (single and
  * multi secret, masked-latency reveal), PL-cache locking, detector
- * hooks, and the distinguishing-sequence oracle.
+ * hooks, the distinguishing-sequence oracle, and the incremental
+ * observation row against a from-scratch rebuild.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "detect/autocorr_detector.hpp"
 #include "detect/miss_detector.hpp"
+#include "env/env_registry.hpp"
 #include "env/guessing_game.hpp"
 #include "env/sequence_oracle.hpp"
+#include "util/rng.hpp"
 
 namespace autocat {
 namespace {
@@ -575,6 +579,149 @@ TEST(Oracle, RandomSearchFindsPrimeProbe)
     const SearchResult r = randomSearch(oracle, 6, 200000, rng);
     ASSERT_TRUE(r.found);
     EXPECT_TRUE(oracle.isDistinguishing(r.sequence));
+}
+
+// --------------------------------------------- observation-row oracle
+
+/*
+ * step() returns the incrementally-maintained observation row. It must
+ * equal a from-scratch rebuild after every reset and step, across
+ * every feature that touches the layout (flush actions, detectors,
+ * multi-secret episodes, reveal-on-guess unmasking, hierarchy and
+ * non-cache channels).
+ */
+
+EnvConfig
+rowOracleConfig(std::uint64_t seed)
+{
+    EnvConfig cfg;
+    cfg.cache.numSets = 1;
+    cfg.cache.numWays = 2;
+    cfg.cache.addressSpaceSize = 6;
+    cfg.attackAddrS = 0;
+    cfg.attackAddrE = 2;
+    cfg.victimAddrS = 0;
+    cfg.victimAddrE = 0;
+    cfg.victimNoAccessEnable = true;
+    cfg.windowSize = 8;
+    cfg.seed = seed;
+    return cfg;
+}
+
+/**
+ * Drive one game with pseudo-random actions and assert the persistent
+ * row matches a from-scratch rebuild after every transition.
+ */
+void
+expectRowStaysFaithful(CacheGuessingGame &game, int steps,
+                       std::uint64_t action_seed)
+{
+    Rng rng(action_seed);
+    std::vector<float> obs = game.reset();
+    EXPECT_EQ(obs, game.rebuildObservation()) << "after reset";
+    for (int t = 0; t < steps; ++t) {
+        const std::size_t a = rng.uniformInt(game.numActions());
+        const StepResult sr = game.step(a);
+        ASSERT_EQ(sr.obs, game.rebuildObservation())
+            << "incremental row diverged at step " << t << " (action "
+            << a << ")";
+        if (sr.done) {
+            obs = game.reset();
+            ASSERT_EQ(obs, game.rebuildObservation())
+                << "row stale after reset at step " << t;
+        }
+    }
+}
+
+TEST(ObservationRow, IncrementalRowMatchesRebuildBaseConfig)
+{
+    auto env = makeEnv("guessing_game", rowOracleConfig(10));
+    auto *game = dynamic_cast<CacheGuessingGame *>(env.get());
+    ASSERT_NE(game, nullptr);
+    expectRowStaysFaithful(*game, 600, 1);
+}
+
+TEST(ObservationRow, IncrementalRowMatchesRebuildWithFlush)
+{
+    EnvConfig cfg = rowOracleConfig(11);
+    cfg.flushEnable = true;
+    auto env = makeEnv("guessing_game", cfg);
+    auto *game = dynamic_cast<CacheGuessingGame *>(env.get());
+    ASSERT_NE(game, nullptr);
+    expectRowStaysFaithful(*game, 600, 2);
+}
+
+TEST(ObservationRow, IncrementalRowMatchesRebuildMultiSecret)
+{
+    // Symbol boundaries re-sample the secret and restart both summary
+    // regions — one of the rare full-rebuild events.
+    EnvConfig cfg = rowOracleConfig(12);
+    cfg.multiSecret = true;
+    cfg.multiSecretEpisodeSteps = 24;
+    auto env = makeEnv("guessing_game", cfg);
+    auto *game = dynamic_cast<CacheGuessingGame *>(env.get());
+    ASSERT_NE(game, nullptr);
+    expectRowStaysFaithful(*game, 600, 3);
+}
+
+TEST(ObservationRow, IncrementalRowMatchesRebuildRevealOnGuess)
+{
+    // The reveal transition unmasks every window slot's latency at
+    // once — the other full-rebuild event.
+    EnvConfig cfg = rowOracleConfig(13);
+    cfg.revealOnGuess = true;
+    auto env = makeEnv("guessing_game", cfg);
+    auto *game = dynamic_cast<CacheGuessingGame *>(env.get());
+    ASSERT_NE(game, nullptr);
+    expectRowStaysFaithful(*game, 600, 4);
+}
+
+TEST(ObservationRow, IncrementalRowMatchesRebuildDetectorScenarios)
+{
+    for (const char *name :
+         {"miss_detect_terminate", "cchunter_bypass", "cyclone_bypass"}) {
+        auto env = makeEnv(name, rowOracleConfig(14));
+        auto *game = dynamic_cast<CacheGuessingGame *>(env.get());
+        ASSERT_NE(game, nullptr) << name;
+        expectRowStaysFaithful(*game, 400, 5);
+    }
+}
+
+TEST(ObservationRow, IncrementalRowMatchesRebuildHierarchyScenarios)
+{
+    for (const char *name :
+         {"l1l2_private", "l1l2_shared", "l2_exclusive", "three_level"}) {
+        auto env = makeEnv(name, rowOracleConfig(15));
+        auto *game = dynamic_cast<CacheGuessingGame *>(env.get());
+        ASSERT_NE(game, nullptr) << name;
+        expectRowStaysFaithful(*game, 400, 6);
+    }
+}
+
+TEST(ObservationRow, IncrementalRowMatchesRebuildChannelScenarios)
+{
+    // The non-cache channels (TLB, prefetcher side channel) route
+    // victim transmits and flushes through paths the cache scenarios
+    // never take; the row invariant must survive them too.
+    for (const char *name : {"tlb_evict", "prefetch_probe"}) {
+        EnvConfig cfg = rowOracleConfig(17);
+        auto env = makeEnv(name, cfg);
+        auto *game = dynamic_cast<CacheGuessingGame *>(env.get());
+        ASSERT_NE(game, nullptr) << name;
+        expectRowStaysFaithful(*game, 400, 7);
+    }
+}
+
+TEST(ObservationRow, IncrementalRowMatchesRebuildTlbWithFlush)
+{
+    // flush on the TLB channel is an invlpg (leaf translation only);
+    // the observation must track its latency effects faithfully.
+    EnvConfig cfg = rowOracleConfig(18);
+    cfg.flushEnable = true;
+    auto env = makeEnv("tlb_evict", cfg);
+    auto *game = dynamic_cast<CacheGuessingGame *>(env.get());
+    ASSERT_NE(game, nullptr);
+    expectRowStaysFaithful(*game, 400, 8);
 }
 
 } // namespace

@@ -53,11 +53,10 @@ TEST(Explore, TinyConfigConvergesAndClassifies)
     EXPECT_LE(result.finalEpisodeLength, 9.0);
 }
 
-TEST(Explore, ConvergesWithFourThreadedStreams)
+TEST(Explore, ConvergesWithFourStreams)
 {
     ExplorationConfig cfg = tinyConfig();
     cfg.numStreams = 4;
-    cfg.threadedEnvs = true;
     const ExplorationResult result = explore(cfg);
     ASSERT_TRUE(result.converged)
         << "accuracy " << result.finalAccuracy;

@@ -2,12 +2,12 @@
  * @file
  * Sample-efficiency layer tests: the masked softmax/entropy kernel,
  * masked policy ops (sample/argmax/logProb), per-step env masks and
- * useless-action penalties, batch-pool mask rows, rollout mask
- * storage, the ScenarioOracle search baseline, wire/report coverage
- * of the new fields, and the two oracles of this layer —
+ * useless-action penalties, rollout mask storage, the ScenarioOracle
+ * search baseline, wire/report coverage of the new fields, and the two
+ * oracles of this layer —
  *
  *  1. mask off (the default) is BITWISE identical to the pre-PR
- *     pipeline (golden hexfloat fixture over all three collect paths),
+ *     pipeline (golden hexfloat fixture at one and four streams),
  *  2. masked + penalized PPO discovers the attack in fewer env steps
  *     than the unmasked baseline (the Sec. VI-A bakeoff).
  */
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "core/explore.hpp"
-#include "env/batch_env_pool.hpp"
 #include "env/env_registry.hpp"
 #include "env/guessing_game.hpp"
 #include "env/sequence_oracle.hpp"
@@ -330,63 +329,6 @@ TEST(EnvMask, NegativePenaltyIsRejected)
     EXPECT_THROW(CacheGuessingGame game(cfg), std::invalid_argument);
 }
 
-// ------------------------------------------------- batch-engine masks
-
-TEST(BatchMask, PoolMaskRowsAreZeroCopyViews)
-{
-    EnvConfig cfg = tinyEnv();
-    cfg.maskActions = true;
-    cfg.maskUselessActions = true;
-
-    std::vector<std::unique_ptr<Environment>> envs;
-    for (int i = 0; i < 3; ++i) {
-        EnvConfig c = cfg;
-        c.seed = cfg.seed + i;
-        envs.push_back(std::make_unique<CacheGuessingGame>(c));
-    }
-    BatchEnvPool pool(std::move(envs));
-    pool.resetAll();
-
-    const std::uint8_t *mm = pool.masks();
-    ASSERT_NE(mm, nullptr);
-    const std::size_t na = pool.numActions();
-    // Each stream's live mask IS its row of the pool matrix.
-    for (std::size_t s = 0; s < pool.numStreams(); ++s)
-        EXPECT_EQ(pool.env(s).actionMask(), mm + s * na) << "stream " << s;
-
-    // Stepping one stream updates only its row, in place.
-    std::vector<std::size_t> actions(3, 0);
-    std::vector<double> rewards(3);
-    std::vector<std::uint8_t> dones(3);
-    std::vector<StepInfo> infos(3);
-    actions[1] = 1;
-    pool.stepBatch(actions.data(), nullptr, rewards.data(), dones.data(),
-                   infos.data());
-    EXPECT_EQ(mm[0 * na + 0], 0);  // stream 0 repeated access 0
-    EXPECT_EQ(mm[1 * na + 1], 0);  // stream 1 repeated access 1
-    EXPECT_EQ(mm[1 * na + 0], 1);
-}
-
-TEST(BatchMask, UnmaskedStreamsExposeNoMaskMatrix)
-{
-    std::vector<std::unique_ptr<Environment>> envs;
-    for (int i = 0; i < 2; ++i)
-        envs.push_back(std::make_unique<CacheGuessingGame>(tinyEnv()));
-    BatchEnvPool pool(std::move(envs));
-    EXPECT_EQ(pool.masks(), nullptr);
-}
-
-TEST(BatchMask, MixedMaskingStreamsAreRejected)
-{
-    EnvConfig masked = tinyEnv();
-    masked.maskActions = true;
-    std::vector<std::unique_ptr<Environment>> envs;
-    envs.push_back(std::make_unique<CacheGuessingGame>(tinyEnv()));
-    envs.push_back(std::make_unique<CacheGuessingGame>(masked));
-    EXPECT_THROW(BatchEnvPool pool(std::move(envs)),
-                 std::invalid_argument);
-}
-
 // ------------------------------------------------ rollout mask store
 
 TEST(RolloutMasks, StageGatherRoundTrip)
@@ -487,66 +429,14 @@ TEST(MaskOffGolden, SerialCollectionMatchesPrePrBytes)
     expectGolden(explore(goldenConfig()), golden);
 }
 
-TEST(MaskOffGolden, BatchCollectionMatchesPrePrBytes)
+TEST(MaskOffGolden, FourStreamCollectionMatchesPrePrBytes)
 {
     const Golden golden{0x1.4cccccccccccdp-1, 0x1.4p+2,
                         0x1.999999999999ap-3, "v -> v -> v -> v -> g",
                         "g0"};
     ExplorationConfig cfg = goldenConfig();
     cfg.numStreams = 4;
-    cfg.batchEnv = true;
     expectGolden(explore(cfg), golden);
-}
-
-TEST(MaskOffGolden, PipelinedCollectionMatchesPrePrBytes)
-{
-    const Golden golden{0x1.4cccccccccccdp-1, 0x1.4p+2,
-                        0x1.999999999999ap-3, "v -> v -> v -> v -> g",
-                        "g0"};
-    ExplorationConfig cfg = goldenConfig();
-    cfg.numStreams = 4;
-    cfg.batchEnv = true;
-    cfg.ppo.doubleBuffered = true;
-    expectGolden(explore(cfg), golden);
-}
-
-// --------------------------------------- masked path self-consistency
-
-/**
- * With masking ON, the three collection paths (serial over SyncVecEnv,
- * zero-copy batch surface, double-buffered pipelined) must still
- * produce identical trajectories: the mask rows a path snapshots are
- * the same per-step masks however collection is scheduled.
- */
-TEST(MaskedCollection, AllThreePathsAgree)
-{
-    ExplorationConfig base = goldenConfig();
-    base.env.maskActions = true;
-    base.env.maskUselessActions = true;
-    base.env.uselessActionPenalty = 0.01;
-    base.numStreams = 4;
-
-    ExplorationConfig sync_cfg = base;  // SyncVecEnv -> collectSerial
-    ExplorationConfig batch_cfg = base;
-    batch_cfg.batchEnv = true;  // collectBatchInPlace
-    ExplorationConfig pipe_cfg = batch_cfg;
-    pipe_cfg.ppo.doubleBuffered = true;  // collectPipelined
-
-    const ExplorationResult a = explore(sync_cfg);
-    const ExplorationResult b = explore(batch_cfg);
-    const ExplorationResult c = explore(pipe_cfg);
-
-    EXPECT_EQ(a.finalAccuracy, b.finalAccuracy);
-    EXPECT_EQ(a.finalEpisodeLength, b.finalEpisodeLength);
-    EXPECT_EQ(a.bitRate, b.bitRate);
-    EXPECT_EQ(a.sequence.toString(), b.sequence.toString());
-    EXPECT_EQ(a.finalGuess, b.finalGuess);
-
-    EXPECT_EQ(b.finalAccuracy, c.finalAccuracy);
-    EXPECT_EQ(b.finalEpisodeLength, c.finalEpisodeLength);
-    EXPECT_EQ(b.bitRate, c.bitRate);
-    EXPECT_EQ(b.sequence.toString(), c.sequence.toString());
-    EXPECT_EQ(b.finalGuess, c.finalGuess);
 }
 
 // ------------------------------------------------------ ScenarioOracle

@@ -209,26 +209,6 @@ TEST(Ppo, TrainsThroughFourStreamVecEnv)
     EXPECT_EQ(trainer.totalEnvSteps() % 2000, 0);
 }
 
-TEST(Ppo, ThreadedCollectionMatchesSync)
-{
-    PpoConfig cfg;
-    cfg.seed = 15;
-    cfg.stepsPerEpoch = 800;
-
-    auto sync_vec = makeBanditVec<SyncVecEnv>(4, 300);
-    auto threaded_vec = makeBanditVec<ThreadedVecEnv>(4, 300);
-    PpoTrainer sync_trainer(*sync_vec, cfg);
-    PpoTrainer threaded_trainer(*threaded_vec, cfg);
-
-    for (int e = 0; e < 3; ++e) {
-        const EpochStats a = sync_trainer.runEpoch();
-        const EpochStats b = threaded_trainer.runEpoch();
-        EXPECT_DOUBLE_EQ(a.meanReturn, b.meanReturn);
-        EXPECT_DOUBLE_EQ(a.policyLoss, b.policyLoss);
-        EXPECT_DOUBLE_EQ(a.valueLoss, b.valueLoss);
-    }
-}
-
 TEST(Ppo, CurriculumAcrossVecEnvs)
 {
     auto stage1 = makeBanditVec<SyncVecEnv>(2, 500);

@@ -3,9 +3,8 @@
  * VecEnv semantics and scenario-registry tests.
  *
  * The load-bearing guarantees: an N-stream VecEnv over seeds
- * {s..s+N-1} reproduces N sequential single-env runs bitwise;
- * ThreadedVecEnv is indistinguishable from SyncVecEnv; a stream
- * auto-resets and hands back the fresh observation on the step its
+ * {s..s+N-1} reproduces N sequential single-env runs bitwise; a
+ * stream auto-resets and hands back the fresh observation on the step its
  * episode ends.
  */
 
@@ -16,7 +15,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "env/batch_env_pool.hpp"
 #include "env/env_registry.hpp"
 #include "env/guessing_game.hpp"
 #include "rl/vec_env.hpp"
@@ -160,25 +158,6 @@ TEST(VecEnv, SyncMatchesSequentialRunsBitwise)
     }
 }
 
-TEST(VecEnv, ThreadedMatchesSyncBitwise)
-{
-    constexpr std::uint64_t kBaseSeed = 33;
-    constexpr std::size_t kStreams = 4;
-    constexpr int kSteps = 150;
-
-    auto sync =
-        makeVecEnv("guessing_game", tinyEnvConfig(kBaseSeed), kStreams,
-                   /*threaded=*/false);
-    auto threaded =
-        makeVecEnv("guessing_game", tinyEnvConfig(kBaseSeed), kStreams,
-                   /*threaded=*/true);
-
-    const std::vector<Trace> a = runVectorized(*sync, kSteps);
-    const std::vector<Trace> b = runVectorized(*threaded, kSteps);
-    for (std::size_t s = 0; s < kStreams; ++s)
-        EXPECT_TRUE(a[s] == b[s]) << "stream " << s;
-}
-
 TEST(VecEnv, AutoResetReturnsFreshObservation)
 {
     std::vector<std::unique_ptr<Environment>> envs;
@@ -207,32 +186,6 @@ TEST(VecEnv, AutoResetReturnsFreshObservation)
     vr = vec.stepAll({0, 0});
     EXPECT_EQ(vr.dones[0], 0);
     EXPECT_FLOAT_EQ(vr.obs(0, 0), 201.0f);
-}
-
-TEST(VecEnv, ThreadedPropagatesEnvExceptions)
-{
-    struct ThrowingEnv : CountingEnv
-    {
-        StepResult
-        step(std::size_t action) override
-        {
-            if (++calls >= 5)
-                throw std::runtime_error("env blew up");
-            return CountingEnv::step(action);
-        }
-        int calls = 0;
-    };
-
-    std::vector<std::unique_ptr<Environment>> envs;
-    envs.push_back(std::make_unique<ThrowingEnv>());
-    envs.push_back(std::make_unique<CountingEnv>());
-    ThreadedVecEnv vec(std::move(envs));
-    vec.resetAll();
-    for (int t = 0; t < 4; ++t)
-        vec.stepAll({0, 0});
-    // The 5th step throws inside a worker; the exception must reach
-    // the caller (same semantics as SyncVecEnv), not std::terminate.
-    EXPECT_THROW(vec.stepAll({0, 0}), std::runtime_error);
 }
 
 TEST(VecEnv, RejectsMismatchedStreams)
@@ -332,134 +285,6 @@ TEST(Registry, HierarchyScenariosWorkThroughMakeVecEnv)
     EXPECT_EQ(obs.rows(), 2u);
     const VecStepResult r = vec->stepAll({0, 0});
     EXPECT_EQ(r.obs.rows(), 2u);
-}
-
-/**
- * stepRange edge cases on either adapter: an empty range is a no-op
- * (no env stepped, no output slot touched), a single-stream range
- * advances exactly that stream, and the full range reproduces
- * stepAll() bitwise. Complements the mid-batch split coverage in
- * test_double_buffer.cpp.
- */
-template <typename Adapter>
-void
-runStepRangeEdgeCases()
-{
-    constexpr std::size_t kStreams = 4;
-    const auto make = [] {
-        std::vector<std::unique_ptr<Environment>> envs;
-        for (std::size_t i = 0; i < kStreams; ++i)
-            envs.push_back(std::make_unique<CountingEnv>());
-        return std::make_unique<Adapter>(std::move(envs));
-    };
-    const auto sentinel_out = [](VecEnv &vec) {
-        VecStepResult out;
-        out.obs.resize(kStreams, vec.observationSize());
-        for (std::size_t i = 0; i < out.obs.size(); ++i)
-            out.obs.data()[i] = -5.0f;
-        out.rewards.assign(kStreams, -123.0);
-        out.dones.assign(kStreams, 77);
-        out.infos.assign(kStreams, StepInfo{});
-        return out;
-    };
-    const std::vector<std::size_t> actions{1, 0, 1, 0};
-
-    // Empty ranges — start, middle, end — must not step any stream or
-    // touch any output slot.
-    {
-        auto vec = make();
-        vec->resetAll();
-        VecStepResult out = sentinel_out(*vec);
-        for (const std::size_t at : {std::size_t{0}, std::size_t{2},
-                                     kStreams}) {
-            vec->stepRange(at, at, actions, out);
-        }
-        for (std::size_t s = 0; s < kStreams; ++s) {
-            EXPECT_DOUBLE_EQ(out.rewards[s], -123.0) << s;
-            EXPECT_EQ(out.dones[s], 77) << s;
-            EXPECT_FLOAT_EQ(out.obs(s, 0), -5.0f) << s;
-        }
-        // No stream advanced: the next stepAll is the episodes' first
-        // step (CountingEnv observations are 100*episode + step).
-        const VecStepResult step = vec->stepAll(actions);
-        for (std::size_t s = 0; s < kStreams; ++s)
-            EXPECT_FLOAT_EQ(step.obs(s, 0), 101.0f) << s;
-    }
-
-    // Single-stream range: exactly that stream advances.
-    {
-        auto vec = make();
-        vec->resetAll();
-        VecStepResult out = sentinel_out(*vec);
-        vec->stepRange(2, 3, actions, out);
-        EXPECT_DOUBLE_EQ(out.rewards[2], 1.0);
-        EXPECT_EQ(out.dones[2], 0);
-        EXPECT_FLOAT_EQ(out.obs(2, 0), 101.0f);
-        for (const std::size_t s : {std::size_t{0}, std::size_t{1},
-                                    std::size_t{3}}) {
-            EXPECT_DOUBLE_EQ(out.rewards[s], -123.0) << s;
-            EXPECT_EQ(out.dones[s], 77) << s;
-        }
-        // Stream 2 is now one step ahead of the others.
-        const VecStepResult step = vec->stepAll(actions);
-        EXPECT_FLOAT_EQ(step.obs(2, 0), 102.0f);
-        EXPECT_FLOAT_EQ(step.obs(0, 0), 101.0f);
-    }
-
-    // Full range == stepAll, bitwise, including across an auto-reset
-    // boundary (episodes last 3 steps).
-    {
-        auto range_vec = make();
-        auto full_vec = make();
-        range_vec->resetAll();
-        full_vec->resetAll();
-        for (int t = 0; t < 4; ++t) {
-            VecStepResult out = sentinel_out(*range_vec);
-            range_vec->stepRange(0, kStreams, actions, out);
-            const VecStepResult want = full_vec->stepAll(actions);
-            for (std::size_t s = 0; s < kStreams; ++s) {
-                EXPECT_DOUBLE_EQ(out.rewards[s], want.rewards[s])
-                    << "t=" << t << " s=" << s;
-                EXPECT_EQ(out.dones[s], want.dones[s]);
-                EXPECT_FLOAT_EQ(out.obs(s, 0), want.obs(s, 0));
-            }
-        }
-    }
-}
-
-TEST(VecEnvStepRange, EdgeCasesOnSyncAdapter)
-{
-    runStepRangeEdgeCases<SyncVecEnv>();
-}
-
-TEST(VecEnvStepRange, EdgeCasesOnThreadedAdapter)
-{
-    runStepRangeEdgeCases<ThreadedVecEnv>();
-}
-
-TEST(VecEnvStepRange, EdgeCasesOnBatchAdapter)
-{
-    // CountingEnv is not a CacheGuessingGame, so this also pins the
-    // pool's generic (non-devirtualized) fallback path.
-    runStepRangeEdgeCases<BatchVecEnv>();
-}
-
-TEST(VecEnv, BatchMatchesSequentialRunsBitwise)
-{
-    constexpr std::uint64_t kBaseSeed = 27;
-    constexpr std::size_t kStreams = 4;
-    constexpr int kSteps = 200;
-
-    auto vec = makeVecEnv("guessing_game", tinyEnvConfig(kBaseSeed),
-                          kStreams, VecEnvKind::Batch);
-    EXPECT_NE(vec->batchSurface(), nullptr);
-    const std::vector<Trace> vec_traces = runVectorized(*vec, kSteps);
-
-    for (std::size_t s = 0; s < kStreams; ++s) {
-        const Trace seq = runSequential(kBaseSeed + s, s, kSteps);
-        EXPECT_TRUE(vec_traces[s] == seq)
-            << "stream " << s << " diverged from the sequential run";
-    }
 }
 
 TEST(Registry, CustomScenarioPlugsIn)
