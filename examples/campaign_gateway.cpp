@@ -3,8 +3,9 @@
  * CLI front door for the multi-tenant campaign gateway: accept one or
  * more sweep-config submissions (each carrying `gateway.tenant` and
  * `gateway.priority` keys) and run them all on ONE shared worker
- * fleet — local cell_runner slots, remote runner_daemon endpoints, or
- * both.
+ * fleet — local slots (one runner_daemon child per cell attempt; the
+ * runner_daemon next to this binary, or $AUTOCAT_RUNNER_DAEMON),
+ * remote runner_daemon endpoints, or both.
  *
  *   $ ./examples/campaign_gateway --root /tmp/gw --dist 3 \
  *         alice_nightly.cfg bob_quick.cfg
@@ -31,30 +32,11 @@
 
 namespace {
 
-/** Resolve the cell_runner executable: explicit flag, then the
- *  AUTOCAT_CELL_RUNNER environment variable, then a cell_runner
- *  sitting next to this binary (the layout CMake produces). */
-std::string
-resolveRunner(const std::string &flag, const char *argv0)
-{
-    if (!flag.empty())
-        return flag;
-    if (const char *env = std::getenv("AUTOCAT_CELL_RUNNER")) {
-        if (*env)
-            return env;
-    }
-    std::string dir(argv0 ? argv0 : "");
-    const std::size_t slash = dir.rfind('/');
-    return (slash == std::string::npos ? std::string(".")
-                                       : dir.substr(0, slash)) +
-           "/cell_runner";
-}
-
 int
 usage()
 {
     std::cerr << "usage: campaign_gateway --root DIR [--dist N] "
-                 "[--runner PATH] [--endpoints H:P[,H:P...]] "
+                 "[--endpoints H:P[,H:P...]] "
                  "[--retries N] [--heartbeat-timeout S] "
                  "config.cfg [config.cfg ...]\n";
     return 2;
@@ -67,7 +49,7 @@ main(int argc, char **argv)
 {
     using namespace autocat;
 
-    std::string root, runner_flag, endpoints_flag;
+    std::string root, endpoints_flag;
     FleetOptions fleet;
     fleet.localProcesses = 2;
     std::vector<std::string> config_paths;
@@ -78,8 +60,6 @@ main(int argc, char **argv)
             root = argv[++i];
         } else if (arg == "--dist" && i + 1 < argc) {
             fleet.localProcesses = std::atoi(argv[++i]);
-        } else if (arg == "--runner" && i + 1 < argc) {
-            runner_flag = argv[++i];
         } else if (arg == "--endpoints" && i + 1 < argc) {
             endpoints_flag = argv[++i];
         } else if (arg == "--retries" && i + 1 < argc) {
@@ -108,8 +88,6 @@ main(int argc, char **argv)
             start = comma + 1;
         }
     }
-    if (fleet.localProcesses > 0)
-        fleet.runnerPath = resolveRunner(runner_flag, argv[0]);
 
     try {
         CampaignGateway gateway(root, fleet);

@@ -16,20 +16,21 @@
  * (docs/EVALUATION.md documents the schema) — including across
  * --dist process counts, provided the checkpoint settings match.
  *
- * Distributed flags: --dist N shards cells across N cell_runner
- * processes (resolved via --runner, $AUTOCAT_CELL_RUNNER, or a
- * cell_runner next to this binary); --endpoints H:P[,H:P...] adds
- * remote runner_daemon slots to the fleet (mixed fleets are fine);
+ * Distributed flags: --dist N shards cells across N local slots, each
+ * running one runner_daemon child per cell attempt (the runner_daemon
+ * next to this binary, or $AUTOCAT_RUNNER_DAEMON);
+ * --endpoints H:P[,H:P...] adds remote runner_daemon slots to the
+ * fleet (mixed fleets are fine);
  * --checkpoint-dir/--workdir place the per-cell checkpoints and
- * job/row blobs; --manifest-dir DIR records finished cells in a
+ * job blobs; --manifest-dir DIR records finished cells in a
  * crash-safe grid manifest so a restarted run re-enters instead of
  * recomputing (--manifest-reset wipes a manifest recorded for a
  * different grid); --chaos-kill IDX:AFTER is the CI fault-injection
- * hook (kill cell IDX's first attempt after its AFTER-th checkpoint
- * write; with --chaos-sigterm the runner SIGTERMs itself instead,
- * exercising the graceful path); --stop-after-cells N aborts the
- * scheduler after N cells finish (the simulated scheduler death the
- * net-smoke CI job restarts from).
+ * hook (kill cell IDX's first attempt on a local slot after its
+ * AFTER-th checkpoint upload; with --chaos-sigterm the worker SIGTERMs
+ * itself instead, exercising the graceful path); --stop-after-cells N
+ * aborts the scheduler after N cells finish (the simulated scheduler
+ * death the fleet-smoke CI job restarts from).
  *
  * Exit status: 0 when every cell completed, 1 when any cell failed
  * (including cells whose worker died beyond the retry budget), 2 on
@@ -87,25 +88,6 @@ writeReportFile(const std::string &path,
     return true;
 }
 
-/** Resolve the cell_runner executable: explicit flag, then the
- *  AUTOCAT_CELL_RUNNER environment variable, then a cell_runner
- *  sitting next to this binary (the layout CMake produces). */
-std::string
-resolveRunner(const std::string &flag, const char *argv0)
-{
-    if (!flag.empty())
-        return flag;
-    if (const char *env = std::getenv("AUTOCAT_CELL_RUNNER")) {
-        if (*env)
-            return env;
-    }
-    std::string dir(argv0 ? argv0 : "");
-    const std::size_t slash = dir.rfind('/');
-    return (slash == std::string::npos ? std::string(".")
-                                       : dir.substr(0, slash)) +
-           "/cell_runner";
-}
-
 } // namespace
 
 int
@@ -115,7 +97,7 @@ main(int argc, char **argv)
 
     SweepConfig cfg;
     std::string config_path, json_override, csv_override;
-    std::string runner_flag, workdir_flag, checkpoint_dir_flag;
+    std::string workdir_flag, checkpoint_dir_flag;
     std::string chaos_kill, endpoints_flag, manifest_dir_flag;
     bool manifest_reset_flag = false;
     bool chaos_sigterm_flag = false;
@@ -137,8 +119,6 @@ main(int argc, char **argv)
             workers_override = std::atoi(argv[++i]);
         } else if (arg == "--dist" && i + 1 < argc) {
             dist_override = std::atoi(argv[++i]);
-        } else if (arg == "--runner" && i + 1 < argc) {
-            runner_flag = argv[++i];
         } else if (arg == "--workdir" && i + 1 < argc) {
             workdir_flag = argv[++i];
         } else if (arg == "--checkpoint-dir" && i + 1 < argc) {
@@ -159,7 +139,7 @@ main(int argc, char **argv)
             std::cerr << "usage: sweep_from_config [config.cfg] "
                          "[--json out.json] [--csv out.csv] "
                          "[--print-default] [--workers N] [--dist N] "
-                         "[--runner PATH] [--workdir DIR] "
+                         "[--workdir DIR] "
                          "[--checkpoint-dir DIR] "
                          "[--endpoints H:P[,H:P...]] "
                          "[--manifest-dir DIR] [--manifest-reset] "
@@ -223,8 +203,6 @@ main(int argc, char **argv)
             cfg.manifestDir = manifest_dir_flag;
         if (manifest_reset_flag)
             cfg.manifestReset = true;
-        if (cfg.distProcesses > 0)
-            cfg.runnerPath = resolveRunner(runner_flag, argv[0]);
 
         SweepRunner runner(std::move(cfg));
         std::cout << "Sweep expands to " << runner.cells().size()

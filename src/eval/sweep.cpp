@@ -252,7 +252,7 @@ runSweepCells(const std::string &name, std::vector<SweepCell> cells,
     const auto t0 = Clock::now();
     std::mutex progress_mutex;
 
-    // Cell execution is shared with the cell_runner worker executable
+    // Cell execution is shared with the runner_daemon worker executable
     // (serve/cell_exec.hpp): in-process and distributed runs MUST
     // compute rows through identical code for report byte-identity.
     const auto run_cell = [&](std::size_t i) {
@@ -298,7 +298,6 @@ SweepRunner::run(const SweepProgress &progress)
     if (config_.distProcesses > 0 || !config_.distEndpoints.empty()) {
         DistSweepOptions options;
         options.processes = config_.distProcesses;
-        options.runnerPath = config_.runnerPath;
         options.endpoints = config_.distEndpoints;
         options.workDir =
             config_.distWorkDir.empty()

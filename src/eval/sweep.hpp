@@ -118,7 +118,8 @@ struct SweepConfig
 
     // ----- distributed execution (serve/dist_scheduler.hpp)
     /**
-     * Worker *processes* to shard the grid across; 0 runs cells
+     * Local fleet slots to shard the grid across, each running one
+     * runner_daemon child process per cell attempt; 0 runs cells
      * in-process on `workers` pool threads. Config key
      * sweep.dist_processes.
      */
@@ -129,28 +130,23 @@ struct SweepConfig
     int distRetries = 1;
 
     /**
-     * Kill and requeue a worker whose heartbeat file goes stale for
-     * this many seconds; 0 disables hang detection. Config key
-     * sweep.heartbeat_timeout_s.
+     * Kill and requeue a cell attempt whose worker sends no frame
+     * (Heartbeat, Checkpoint, Row) for this many seconds; 0 disables
+     * hang detection. Config key sweep.heartbeat_timeout_s.
      */
     double heartbeatTimeoutS = 0.0;
 
-    /** Scratch directory for job/result blobs and heartbeats; empty
-     *  derives `<checkpointDir or .>/dist_work`. Config key
-     *  sweep.dist_work_dir. */
+    /** Scratch directory for job blobs and local workers' checkpoint
+     *  staging; empty derives `<checkpointDir or .>/dist_work`. Config
+     *  key sweep.dist_work_dir. */
     std::string distWorkDir;
 
-    /** cell_runner executable path; resolved by the driver (CLI flag /
-     *  AUTOCAT_CELL_RUNNER env), never a config-file key. Required
-     *  when distProcesses > 0. */
-    std::string runnerPath;
-
     /**
-     * Fault-injection harness hooks (CLI only, used by the dist-smoke
-     * and net-smoke CI jobs and tests): SIGKILL the first attempt of
-     * cell chaosKillCell after chaosKillAfter checkpoint writes; -1
-     * disables. chaosSigterm sends the runner SIGTERM instead, so it
-     * exits through the graceful flush path.
+     * Fault-injection harness hooks (CLI only, used by the
+     * fleet-smoke CI job and tests): SIGKILL the first attempt of cell
+     * chaosKillCell on a local slot after chaosKillAfter checkpoint
+     * uploads; -1 disables. chaosSigterm sends the worker SIGTERM
+     * instead, so it exits through the graceful flush path.
      */
     long chaosKillCell = -1;
     int chaosKillAfter = 1;

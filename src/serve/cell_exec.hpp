@@ -1,8 +1,8 @@
 /**
  * @file
  * Single sweep-cell execution, shared by the in-process pool
- * (eval/sweep.cpp) and the cell_runner worker executable
- * (serve/runner_main.cpp).
+ * (eval/sweep.cpp) and the runner_daemon worker executable
+ * (serve/net/daemon_main.cpp).
  *
  * Both paths MUST run a cell through the exact same code for the
  * sharded-vs-local byte-identity contract to hold: a cell is one
@@ -47,13 +47,12 @@ struct CellExecOptions
 };
 
 /**
- * Exit code a runner or daemon uses after a graceful SIGTERM: the
- * heartbeat was flushed and every written checkpoint is durable
- * (checkpoint writes are atomic + fsynced, and the shutdown flag is
- * only observed between them), but no row was produced. Deliberately
- * outside the runner's recognized codes (0/3/4), so the scheduler
- * treats it as a retryable worker death and the retry resumes from
- * the last checkpoint.
+ * Exit code runner_daemon uses after a graceful SIGTERM mid-cell: a
+ * final Heartbeat was flushed and every checkpoint written so far was
+ * uploaded, but no row was produced (checkpoint writes are atomic +
+ * fsynced, and the shutdown flag is only observed between them). The
+ * scheduler treats it as a retryable worker death ("died (exit code
+ * 5)") and the retry resumes from the last uploaded checkpoint.
  */
 constexpr int kRunnerExitSigterm = 5;
 

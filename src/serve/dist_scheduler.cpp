@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <deque>
 #include <filesystem>
 #include <memory>
@@ -52,16 +53,6 @@ struct GridState
     {
         return grid.workDir + "/job_" + std::to_string(cell) + ".blob";
     }
-    std::string
-    rowPath(std::size_t cell) const
-    {
-        return grid.workDir + "/row_" + std::to_string(cell) + ".blob";
-    }
-    std::string
-    heartbeatPath(std::size_t cell) const
-    {
-        return grid.workDir + "/hb_" + std::to_string(cell);
-    }
 };
 
 void
@@ -74,6 +65,23 @@ ensureDirectory(const std::string &path, const char *what)
             std::string("dist sweep: cannot create ") + what + " \"" +
             path + "\"" + (ec ? ": " + ec.message() : ""));
     }
+}
+
+/** The runner_daemon local slots spawn: @p path when set, else
+ *  $AUTOCAT_RUNNER_DAEMON, else runner_daemon next to the running
+ *  executable (the layout CMake produces). */
+std::string
+resolveRunnerDaemon(const std::string &path)
+{
+    if (!path.empty())
+        return path;
+    const char *env = std::getenv("AUTOCAT_RUNNER_DAEMON");
+    if (env && *env)
+        return env;
+    std::error_code ec;
+    return (fs::read_symlink("/proc/self/exe", ec).parent_path() /
+            "runner_daemon")
+        .string();
 }
 
 } // namespace
@@ -94,13 +102,11 @@ runSweepGridsFleet(std::vector<ScheduledGrid> grids,
 
     const int local_slots = static_cast<int>(std::min<std::size_t>(
         std::max(fleet.localProcesses, 0), total_cells));
-    if (local_slots > 0 &&
-        (fleet.runnerPath.empty() ||
-         ::access(fleet.runnerPath.c_str(), X_OK) != 0)) {
+    const std::string runner = resolveRunnerDaemon(fleet.runnerPath);
+    if (local_slots > 0 && ::access(runner.c_str(), X_OK) != 0) {
         throw std::invalid_argument(
-            "dist sweep: cell_runner executable not found at \"" +
-            fleet.runnerPath +
-            "\" (pass --runner or set AUTOCAT_CELL_RUNNER)");
+            "dist sweep: runner_daemon executable not found at \"" +
+            runner + "\" (set AUTOCAT_RUNNER_DAEMON)");
     }
     if (local_slots == 0 && fleet.endpoints.empty()) {
         throw std::invalid_argument(
@@ -127,20 +133,15 @@ runSweepGridsFleet(std::vector<ScheduledGrid> grids,
         state.report.name = state.grid.name;
         state.report.cells.resize(state.grid.cells.size());
 
-        // Stage every job blob up front: a worker needs nothing from
-        // the scheduler but its argv (or one frame stream), and a
-        // crashed scheduler leaves a complete, restartable job set on
-        // disk. The blobs also define the grid's manifest identity.
+        // Stage every job blob up front: a crashed scheduler leaves a
+        // complete, restartable job set on disk. The blobs also define
+        // the grid's manifest identity.
         std::vector<std::string> job_blobs;
         job_blobs.reserve(state.grid.cells.size());
-        std::error_code ec;
         for (const SweepCell &cell : state.grid.cells) {
             job_blobs.push_back(serializeCellJob(cell));
             atomicWriteFile(state.jobPath(cell.index),
                             job_blobs.back(), "cell job");
-            // A row left over from a previous run over the same work
-            // dir must not satisfy this run's cell.
-            fs::remove(state.rowPath(cell.index), ec);
         }
 
         if (!state.grid.manifestDir.empty()) {
@@ -187,10 +188,9 @@ runSweepGridsFleet(std::vector<ScheduledGrid> grids,
     // ----- the fleet
     std::vector<std::unique_ptr<RunnerTransport>> transports;
     for (int s = 0; s < local_slots; ++s)
-        transports.push_back(
-            makeLocalProcessTransport(fleet.runnerPath, s));
+        transports.push_back(RunnerTransport::local(runner, s));
     for (const std::string &endpoint : fleet.endpoints)
-        transports.push_back(makeTcpRunnerTransport(endpoint));
+        transports.push_back(RunnerTransport::tcp(endpoint));
     std::vector<SlotState> slots(transports.size());
 
     for (GridState &state : states)
@@ -290,14 +290,10 @@ runSweepGridsFleet(std::vector<ScheduledGrid> grids,
             const PendingCell next = pending.front();
             pending.pop_front();
             const GridState &state = states[next.grid];
-            const SweepCell &cell = state.grid.cells[next.cell];
 
             AttemptSpec spec;
-            spec.cell = &cell;
-            spec.attempt = next.attempt;
             spec.jobPath = state.jobPath(next.cell);
-            spec.rowPath = state.rowPath(next.cell);
-            spec.heartbeatPath = state.heartbeatPath(next.cell);
+            spec.workDir = state.grid.workDir;
             if (!state.grid.checkpointDir.empty()) {
                 spec.checkpointPath = cellCheckpointPath(
                     state.grid.checkpointDir, next.cell);
@@ -309,14 +305,17 @@ runSweepGridsFleet(std::vector<ScheduledGrid> grids,
             if (next.grid == 0 &&
                 static_cast<long>(next.cell) == fleet.chaosKillCell &&
                 next.attempt == 1) {
-                spec.chaosKill = !fleet.chaosHang;
-                spec.chaosHang = fleet.chaosHang;
-                spec.chaosKillAfter = fleet.chaosKillAfter;
-                spec.chaosSigterm = fleet.chaosSigterm;
+                if (fleet.chaosHang)
+                    spec.chaosFlags = {"--chaos-hang"};
+                else
+                    spec.chaosFlags = {fleet.chaosSigterm
+                                           ? "--chaos-sigterm-after"
+                                           : "--chaos-kill-after",
+                                       std::to_string(fleet.chaosKillAfter)};
             }
 
             if (!transports[s]->start(spec)) {
-                // Never actually started (endpoint retired itself):
+                // Never actually started (the slot retired itself):
                 // requeue at the front without consuming an attempt.
                 pending.push_front(next);
                 continue;
@@ -368,14 +367,14 @@ runSweepGridsFleet(std::vector<ScheduledGrid> grids,
                 });
             if (!any_busy && !any_alive) {
                 throw std::runtime_error(
-                    "dist sweep: every runner endpoint retired with " +
+                    "dist sweep: every fleet slot retired with " +
                     std::to_string(pending.size()) +
                     " cell(s) still pending");
             }
         }
 
-        // Hang detection: a healthy attempt shows life (heartbeat
-        // mtime / received frames) continuously; staleness beyond the
+        // Hang detection: a healthy attempt shows life (received
+        // frames) continuously; staleness beyond the
         // budget gets killed and takes the normal death path (which
         // consumes a retry).
         if (fleet.heartbeatTimeoutS > 0) {

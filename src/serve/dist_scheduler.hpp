@@ -1,8 +1,9 @@
 /**
  * @file
  * DistScheduler: shard expanded sweep grids across a *fleet* of
- * runner transports — local cell_runner processes and/or remote
- * runner_daemon TCP endpoints (serve/net/transport.hpp).
+ * runner_daemon workers — local children the scheduler spawns over a
+ * socketpair and/or remote TCP endpoints — all speaking one frame
+ * session through one transport (serve/net/transport.hpp).
  *
  * Execution model — the process-boundary analogue of util/TaskPool's
  * claiming discipline:
@@ -18,15 +19,16 @@
  *  - An attempt that produces a row blob has it validated here
  *    (magic/version/checksum + cell-index match) before it fills the
  *    cell's report slot. An attempt that dies (process death,
- *    connection drop, malformed frame, corrupt row) or hangs (stale
- *    heartbeat -> kill) consumes one attempt; the cell is requeued
- *    until maxRetries are exhausted, then recorded as a per-cell
- *    failure — the rest of the grid keeps running either way. A
- *    transport whose attempt never *started* (unreachable endpoint)
- *    retires itself and the cell requeues for free.
- *  - Retried cells resume from their campaign checkpoint — remote
- *    attempts upload each checkpoint write back to the scheduler, so
- *    a daemon death costs at most checkpointEvery epochs even when
+ *    connection drop, malformed frame, corrupt row) or hangs (no
+ *    frame within the heartbeat timeout -> kill) consumes one
+ *    attempt; the cell is requeued until maxRetries are exhausted,
+ *    then recorded as a per-cell failure — the rest of the grid keeps
+ *    running either way. A slot whose attempt never got past the
+ *    handshake (unreachable endpoint, a child that died before its
+ *    Hello) retires itself and the cell requeues for free.
+ *  - Retried cells resume from their campaign checkpoint — every
+ *    attempt uploads each checkpoint write back to the scheduler, so
+ *    a worker death costs at most checkpointEvery epochs even when
  *    the retry lands on a different machine.
  *  - With a manifest directory set, every finished cell's row blob is
  *    also recorded in a crash-safe grid manifest
@@ -40,7 +42,7 @@
  * same checkpoint cadence — including runs where workers were killed,
  * daemons died, or the scheduler itself was restarted over the
  * manifest. That identity is the test oracle (test_dist, test_net,
- * the dist-smoke and net-smoke CI jobs).
+ * the fleet-smoke CI job).
  */
 
 #ifndef AUTOCAT_SERVE_DIST_SCHEDULER_HPP
@@ -75,11 +77,13 @@ struct DistStopInjected : std::runtime_error
  *  fleet runs). */
 struct FleetOptions
 {
-    /** Local cell_runner process slots (clamped to the total cell
-     *  count; 0 = remote-only fleet). */
+    /** Local slots, each spawning one runner_daemon child per attempt
+     *  (clamped to the total cell count; 0 = remote-only fleet). */
     int localProcesses = 0;
 
-    /** cell_runner executable path (required when localProcesses>0). */
+    /** runner_daemon executable for local slots; empty uses
+     *  $AUTOCAT_RUNNER_DAEMON, else runner_daemon next to the running
+     *  executable. */
     std::string runnerPath;
 
     /** runner_daemon endpoints, "host:port" each; one slot per
@@ -89,24 +93,23 @@ struct FleetOptions
     /** Re-spawns allowed per cell after a death or hang. */
     int maxRetries = 1;
 
-    /** Kill an attempt whose liveness signal (heartbeat file mtime /
-     *  received frames) is older than this many seconds; 0 disables
-     *  hang detection. */
+    /** Kill an attempt that has sent no frame for this many seconds;
+     *  0 disables hang detection. */
     double heartbeatTimeoutS = 0.0;
 
     // ----- fault-injection hooks (tests / CI harness only)
     /** Cell (by index, grids[0]) whose FIRST attempt is asked to kill
-     *  itself after chaosKillAfter checkpoint writes; -1 disables.
-     *  Local transports only — daemons carry their own chaos flags. */
+     *  itself after chaosKillAfter checkpoint uploads; -1 disables.
+     *  Local slots only — TCP daemons carry their own chaos flags. */
     long chaosKillCell = -1;
     int chaosKillAfter = 1;
 
-    /** Make chaosKillCell's first attempt hang before doing any work
+    /** Make chaosKillCell's first attempt hang after the handshake
      *  (exercises the heartbeat timeout) instead of self-killing. */
     bool chaosHang = false;
 
     /** Have chaosKillCell's first attempt SIGTERM itself instead of
-     *  SIGKILL — exercises the graceful-shutdown runner path. */
+     *  SIGKILL — exercises the worker's graceful-shutdown path. */
     bool chaosSigterm = false;
 
     /** Throw DistStopInjected after this many cells finish in this
@@ -120,8 +123,8 @@ struct ScheduledGrid
     std::string name;
     std::vector<SweepCell> cells;
 
-    /** Scratch directory for job/row blobs and heartbeat files;
-     *  created on demand (required, one per grid). */
+    /** Scratch directory for job blobs and local workers' checkpoint
+     *  staging; created on demand (required, one per grid). */
     std::string workDir;
 
     /** Per-cell campaign checkpoint directory; empty disables
@@ -167,18 +170,18 @@ runSweepGridsFleet(std::vector<ScheduledGrid> grids,
  *  kept for drivers and tests; forwards to runSweepGridsFleet). */
 struct DistSweepOptions
 {
-    /** Worker process slots (clamped to the cell count). */
+    /** Local worker slots (clamped to the cell count). */
     int processes = 3;
 
-    /** cell_runner executable path (required unless the fleet is
-     *  endpoints-only). */
+    /** runner_daemon executable for local slots (see
+     *  FleetOptions::runnerPath). */
     std::string runnerPath;
 
     /** runner_daemon endpoints joining the fleet ("host:port"). */
     std::vector<std::string> endpoints;
 
-    /** Scratch directory for job/row blobs and heartbeat files;
-     *  created on demand (required). */
+    /** Scratch directory for job blobs and local workers' checkpoint
+     *  staging; created on demand (required). */
     std::string workDir;
 
     /** Per-cell campaign checkpoint directory; empty disables
@@ -195,7 +198,7 @@ struct DistSweepOptions
     /** Re-spawns allowed per cell after a death or hang. */
     int maxRetries = 1;
 
-    /** Kill a worker whose heartbeat is older than this (seconds);
+    /** Kill an attempt that has sent no frame for this many seconds;
      *  0 disables hang detection. */
     double heartbeatTimeoutS = 0.0;
 
@@ -212,10 +215,10 @@ struct DistSweepOptions
  * Blocks until every cell has completed, failed deterministically, or
  * exhausted its retry budget.
  *
- * @throws std::invalid_argument for a missing/non-executable runner
- *         or an unusable work directory (grid-level misconfiguration,
- *         as opposed to per-cell failures which land in the report);
- *         see runSweepGridsFleet for the full set
+ * @throws std::invalid_argument for a missing/non-executable
+ *         runner_daemon or an unusable work directory (grid-level
+ *         misconfiguration, as opposed to per-cell failures which land
+ *         in the report); see runSweepGridsFleet for the full set
  */
 SweepReport runSweepCellsDist(const std::string &name,
                               std::vector<SweepCell> cells,

@@ -1,6 +1,7 @@
 #include "serve/gateway/campaign_gateway.hpp"
 
 #include <algorithm>
+#include <filesystem>
 #include <stdexcept>
 
 #include "eval/report.hpp"
@@ -60,6 +61,15 @@ CampaignGateway::submit(SweepConfig config,
             "gateway: campaign name \"" + sub.campaign +
             "\" is not a path-safe token");
     }
+    // Checkpoints are keyed by cell index only, so two campaigns in
+    // one directory would resume from each other's files.
+    namespace fs = std::filesystem;
+    const auto checkpointDir = [](const SweepConfig &c) {
+        return c.checkpointDir.empty()
+                   ? fs::path()
+                   : fs::weakly_canonical(fs::absolute(c.checkpointDir));
+    };
+    const fs::path ckpt = checkpointDir(config);
     for (const GatewaySubmission &existing : submissions_) {
         if (existing.tenant == sub.tenant &&
             existing.campaign == sub.campaign) {
@@ -67,6 +77,12 @@ CampaignGateway::submit(SweepConfig config,
                 "gateway: tenant \"" + sub.tenant +
                 "\" already submitted campaign \"" + sub.campaign +
                 "\"");
+        }
+        if (!ckpt.empty() && ckpt == checkpointDir(existing.config)) {
+            throw std::invalid_argument(
+                "gateway: " + sub.tenant + "/" + sub.campaign +
+                " shares checkpoint dir \"" + config.checkpointDir +
+                "\" with " + existing.tenant + "/" + existing.campaign);
         }
     }
 

@@ -73,9 +73,12 @@ class CampaignGateway
      * from @p campaign_name (falling back to config.name).
      *
      * @throws std::invalid_argument for a missing/path-unsafe tenant
-     *         or campaign name, or a duplicate (tenant, campaign)
-     *         pair — resubmitting the same campaign must be an
-     *         explicit re-entry (new gateway run), not a silent dup
+     *         or campaign name, a duplicate (tenant, campaign) pair —
+     *         resubmitting the same campaign must be an explicit
+     *         re-entry (new gateway run), not a silent dup — or a
+     *         non-empty sweep.checkpoint_dir an earlier submission
+     *         already uses (checkpoints are keyed by cell index, so
+     *         the campaigns would resume from each other's files)
      */
     void submit(SweepConfig config, const std::string &campaign_name = "");
 

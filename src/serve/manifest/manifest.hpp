@@ -13,7 +13,7 @@
  *                      on every recorded event.
  *     row_<i>.blob     the finished cell's ACDROWV2 row blob,
  *                      byte-verbatim as the scheduler received it
- *                      (wire, local runner file, or failure row).
+ *                      (a worker's Row frame, or a failure row).
  *
  * Keying: the manifest is bound to a *grid identity* — the FNV-1a
  * hash over every cell's serialized job blob in index order. Since a

@@ -1,43 +1,49 @@
 /**
  * @file
- * runner_daemon: a persistent TCP worker for the networked campaign
- * service. It listens on one endpoint, accepts one connection at a
- * time (the scheduler treats each daemon as exactly one fleet slot),
- * and executes each delivered cell through the shared cell-execution
- * path (serve/cell_exec.hpp) — so daemon cells are byte-identical to
- * in-process and cell_runner cells by construction.
+ * runner_daemon: the sweep fleet's one worker executable. It executes
+ * each delivered cell through the shared cell-execution path
+ * (serve/cell_exec.hpp) — so fleet cells are byte-identical to
+ * in-process cells by construction — and runs in one of two modes:
  *
  *     runner_daemon [--host H] [--port N] [--port-file PATH]
- *                   [--work-dir DIR]
- *                   [--chaos-kill-after N | --chaos-sigterm-after N]
+ *                   [--work-dir DIR] [chaos flags]
+ *     runner_daemon --fd N [--work-dir DIR] [chaos flags]
  *
- * --port 0 (the default) binds a kernel-assigned ephemeral port, and
- * --port-file publishes the bound port atomically — the CI-parallel-
- * safe discovery handshake (parallel jobs cannot collide on a port
- * they never chose).
+ * A TCP daemon listens on one endpoint and accepts one connection at
+ * a time (the scheduler treats each daemon as exactly one fleet
+ * slot). --port 0 (the default) binds a kernel-assigned ephemeral
+ * port, and --port-file publishes the bound port atomically — the
+ * CI-parallel-safe discovery handshake (parallel jobs cannot collide
+ * on a port they never chose). A bad host or port exits 2.
  *
- * Per connection (see serve/net/frame.hpp for the session shape): the
- * daemon expects Hello [Checkpoint] Job, replies with its own Hello
- * (version skew closes the connection; the scheduler retires the
- * endpoint), then streams Heartbeat per epoch and a Checkpoint upload
- * after every checkpoint write, finishing with the Row. The
- * scheduler's disk is the durable checkpoint home: a delivered
- * Checkpoint frame seeds this attempt, a missing one clears any stale
- * local file, so a retried cell resumes correctly on ANY machine.
+ * With --fd N the daemon serves one session on the already-connected
+ * descriptor N, then exits: a local fleet slot spawns one such child
+ * per attempt over a socketpair (serve/net/transport.hpp).
+ *
+ * Per session (see serve/net/frame.hpp for its shape): the daemon
+ * expects Hello [Checkpoint] Job, replies with its own Hello
+ * (version skew closes the session; the scheduler retires the slot),
+ * then streams Heartbeat per epoch and a Checkpoint upload after
+ * every checkpoint write, finishing with the Row. The scheduler's
+ * disk is the durable checkpoint home: a delivered Checkpoint frame
+ * seeds this attempt, a missing one clears any stale local file, so a
+ * retried cell resumes correctly on ANY machine.
  *
  * Failure behavior:
- *  - a malformed frame stream closes the connection (the scheduler
- *    requeues the cell) and the daemon keeps serving;
+ *  - a malformed frame stream closes the session (the scheduler
+ *    requeues the cell) and a TCP daemon keeps serving;
  *  - a dead scheduler surfaces as a send failure mid-cell; the daemon
- *    abandons the orphaned attempt and goes back to accepting;
+ *    abandons the orphaned attempt (and an --fd child exits);
  *  - SIGTERM is graceful: observed at epoch/checkpoint boundaries
  *    (checkpoints are atomic + fsynced, never torn), a final
  *    Heartbeat is flushed, and the daemon exits with the retryable
  *    code kRunnerExitSigterm; while idle it exits 0.
  *
- * Chaos flags (tests / net-smoke CI): kill or SIGTERM the daemon
- * right after its Nth checkpoint *upload* — the scheduler provably
- * holds the bytes the retry will resume from.
+ * Chaos flags (tests / fleet-smoke CI): --chaos-kill-after N and
+ * --chaos-sigterm-after N kill or SIGTERM the daemon right after its
+ * Nth checkpoint *upload* — the scheduler provably holds the bytes
+ * the retry will resume from; --chaos-hang answers the handshake and
+ * then never sends another frame, until the scheduler gives up on it.
  */
 
 #include <cerrno>
@@ -83,9 +89,9 @@ int
 usage(const char *argv0)
 {
     std::cerr << "usage: " << argv0
-              << " [--host H] [--port N] [--port-file PATH]"
+              << " [--host H] [--port N] [--port-file PATH] | --fd N"
                  " [--work-dir DIR] [--chaos-kill-after N]"
-                 " [--chaos-sigterm-after N]\n";
+                 " [--chaos-sigterm-after N] [--chaos-hang]\n";
     return 2;
 }
 
@@ -94,8 +100,10 @@ struct DaemonOptions
     TcpEndpoint bind;          // port 0 = ephemeral
     std::string portFile;      // publish the bound port here
     std::string workDir = "."; // local checkpoint scratch
+    int fd = -1;               // serve one session here, then exit
     int chaosKillAfter = 0;    // 0 = disabled
     int chaosSigtermAfter = 0; // 0 = disabled
+    bool chaosHang = false;
 };
 
 /** Outcome of reading the connection preamble (Hello [Checkpoint]
@@ -215,6 +223,14 @@ serveConnection(int fd, const DaemonOptions &options)
     const Preamble pre = readPreamble(fd);
     if (!pre.ok)
         return;
+    if (options.chaosHang) {
+        // A wedged worker: no heartbeat, no work — until the scheduler
+        // gives up and closes the stream.
+        char byte;
+        while (waitReadable(fd, -1) && recvSome(fd, &byte, 1) > 0) {
+        }
+        return;
+    }
 
     SweepCell cell;
     try {
@@ -309,6 +325,8 @@ int
 main(int argc, char **argv)
 {
     DaemonOptions options;
+    std::string host = options.bind.host;
+    std::string port = "0";
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -321,11 +339,14 @@ main(int argc, char **argv)
         };
         try {
             if (arg == "--host")
-                options.bind.host = value();
+                host = value();
             else if (arg == "--port")
-                options.bind.port = static_cast<std::uint16_t>(
-                    std::stoi(value()));
-            else if (arg == "--port-file")
+                port = value();
+            else if (arg == "--fd") {
+                options.fd = std::stoi(value());
+                if (options.fd < 0)
+                    throw std::out_of_range("--fd");
+            } else if (arg == "--port-file")
                 options.portFile = value();
             else if (arg == "--work-dir")
                 options.workDir = value();
@@ -333,12 +354,20 @@ main(int argc, char **argv)
                 options.chaosKillAfter = std::atoi(value().c_str());
             else if (arg == "--chaos-sigterm-after")
                 options.chaosSigtermAfter = std::atoi(value().c_str());
+            else if (arg == "--chaos-hang")
+                options.chaosHang = true;
             else
                 return usage(argv[0]);
         } catch (const std::exception &) {
             std::cerr << arg << ": bad value\n";
             return 2;
         }
+    }
+    try {
+        options.bind = parseTcpEndpoint(host + ":" + port);
+    } catch (const std::exception &e) {
+        std::cerr << "runner_daemon: " << e.what() << "\n";
+        return 2;
     }
 
     ignoreSigpipe();
@@ -358,6 +387,12 @@ main(int argc, char **argv)
                       << options.workDir << "\n";
             return 1;
         }
+    }
+
+    if (options.fd >= 0) {
+        OwnedFd session(options.fd);
+        serveConnection(session.fd(), options);
+        return 0;
     }
 
     std::uint16_t bound = 0;

@@ -1,17 +1,14 @@
 #include "serve/net/transport.hpp"
 
-#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
-#include <ctime>
 #include <filesystem>
 #include <stdexcept>
-#include <vector>
+#include <thread>
 
+#include <fcntl.h>
 #include <signal.h>
-#include <sys/stat.h>
-#include <sys/types.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -23,19 +20,16 @@ namespace autocat {
 
 namespace {
 
-namespace fs = std::filesystem;
+constexpr int kConnectTimeoutMs = 5000;
 
-/** mtime of @p path as a time_t, or 0 when the file does not exist. */
-std::time_t
-fileMtime(const std::string &path)
-{
-    struct stat st;
-    if (::stat(path.c_str(), &st) != 0)
-        return 0;
-    return st.st_mtime;
-}
+/** The descriptor a local child finds its end of the socketpair on. */
+constexpr int kChildFd = 3;
 
-/** Describe how a reaped runner ended, for retry/error messages. */
+/** How long a local child that closed its stream (or sent its row) may
+ *  take to exit on its own before it is SIGKILLed. */
+constexpr auto kExitGrace = std::chrono::seconds(2);
+
+/** Describe how a reaped worker ended, for retry/error messages. */
 std::string
 describeExit(int status)
 {
@@ -47,163 +41,111 @@ describeExit(int status)
     return "unknown wait status " + std::to_string(status);
 }
 
-// ---------------------------------------------------------------------
-// Local fork/exec slot (the PR 6 process boundary).
-
-class LocalProcessTransport final : public RunnerTransport
+AttemptOutcome
+died(std::string reason, bool consumes_attempt = true)
 {
-  public:
-    LocalProcessTransport(std::string runner_path, int slot)
-        : runnerPath_(std::move(runner_path)),
-          name_("local[" + std::to_string(slot) + "]")
-    {
+    AttemptOutcome out;
+    out.kind = AttemptOutcome::Kind::Died;
+    out.reason = std::move(reason);
+    out.consumesAttempt = consumes_attempt;
+    return out;
+}
+
+} // namespace
+
+RunnerTransport::RunnerTransport(std::string name, TcpEndpoint endpoint,
+                                 std::string daemon_path)
+    : name_(std::move(name)), endpoint_(std::move(endpoint)),
+      daemonPath_(std::move(daemon_path))
+{
+    ignoreSigpipe();
+}
+
+std::unique_ptr<RunnerTransport>
+RunnerTransport::tcp(const std::string &endpoint)
+{
+    const TcpEndpoint parsed = parseTcpEndpoint(endpoint);
+    return std::unique_ptr<RunnerTransport>(
+        new RunnerTransport("tcp:" + parsed.toString(), parsed, ""));
+}
+
+std::unique_ptr<RunnerTransport>
+RunnerTransport::local(std::string daemon_path, int slot)
+{
+    return std::unique_ptr<RunnerTransport>(new RunnerTransport(
+        "local[" + std::to_string(slot) + "]", TcpEndpoint{},
+        std::move(daemon_path)));
+}
+
+void
+RunnerTransport::spawn(const AttemptSpec &spec)
+{
+    std::vector<std::string> args = {daemonPath_, "--fd",
+                                     std::to_string(kChildFd),
+                                     "--work-dir", spec.workDir};
+    args.insert(args.end(), spec.chaosFlags.begin(),
+                spec.chaosFlags.end());
+    std::vector<char *> argv;
+    argv.reserve(args.size() + 1);
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    argv.push_back(nullptr);
+
+    // Both ends close on exec, so no child (this one or a later
+    // sibling) holds a copy of an end it was not given: a stray copy
+    // keeps the stream open after its owner dies or closes it, and the
+    // death never arrives as EOF.
+    int ends[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, ends) != 0)
+        throw std::runtime_error(std::string("dist sweep: socketpair: ") +
+                                 std::strerror(errno));
+    OwnedFd mine(ends[0]);
+    OwnedFd theirs(ends[1]);
+
+    const pid_t pid = ::fork();
+    if (pid < 0)
+        throw std::runtime_error(std::string("dist sweep: fork: ") +
+                                 std::strerror(errno));
+    if (pid == 0) {
+        // dup2 clears close-on-exec on the copy, but is a no-op when
+        // the end already sits on kChildFd.
+        if (theirs.fd() == kChildFd)
+            ::fcntl(kChildFd, F_SETFD, 0);
+        else
+            ::dup2(theirs.fd(), kChildFd);
+        ::execv(argv[0], argv.data());
+        ::_exit(127); // the parent sees EOF before any Hello
     }
+    pid_ = pid;
+    fd_ = std::move(mine);
+}
 
-    ~LocalProcessTransport() override { abandon(); }
-
-    const std::string &name() const override { return name_; }
-    bool alive() const override { return true; }
-    bool busy() const override { return pid_ > 0; }
-
-    bool
-    start(const AttemptSpec &spec) override
-    {
-        std::vector<std::string> args;
-        args.push_back(runnerPath_);
-        args.push_back(spec.jobPath);
-        args.push_back(spec.rowPath);
-        if (!spec.checkpointPath.empty()) {
-            args.push_back("--checkpoint");
-            args.push_back(spec.checkpointPath);
-            args.push_back("--checkpoint-every");
-            args.push_back(std::to_string(spec.checkpointEvery));
-        }
-        args.push_back("--heartbeat");
-        args.push_back(spec.heartbeatPath);
-        args.push_back("--attempt");
-        args.push_back(std::to_string(spec.attempt));
-        if (spec.chaosHang) {
-            args.push_back("--chaos-hang");
-        } else if (spec.chaosKill) {
-            args.push_back(spec.chaosSigterm ? "--chaos-sigterm-after"
-                                             : "--chaos-kill-after");
-            args.push_back(std::to_string(spec.chaosKillAfter));
-        }
-
-        std::vector<char *> argv;
-        argv.reserve(args.size() + 1);
-        for (std::string &a : args)
-            argv.push_back(a.data());
-        argv.push_back(nullptr);
-
-        const pid_t pid = ::fork();
-        if (pid < 0)
-            throw std::runtime_error(std::string("dist sweep: fork: ") +
-                                     std::strerror(errno));
-        if (pid == 0) {
-            ::execv(argv[0], argv.data());
-            // Exec failure in the child: nothing sane to do but die with
-            // a recognizable code (the parent records "exit code 127").
-            ::_exit(127);
-        }
-        pid_ = pid;
-        timedOut_ = false;
-        heartbeatPath_ = spec.heartbeatPath;
-        rowPath_ = spec.rowPath;
-        spawnTime_ = std::time(nullptr);
-        return true;
-    }
-
-    AttemptOutcome
-    poll() override
-    {
-        AttemptOutcome out;
-        int status = 0;
-        const pid_t r = ::waitpid(pid_, &status, WNOHANG);
-        if (r == 0)
-            return out; // still running
-        pid_ = -1;
-        out.kind = AttemptOutcome::Kind::Died;
-        if (r < 0) {
-            out.reason = std::string("could not be reaped: ") +
-                         std::strerror(errno);
-        } else if (timedOut_) {
-            out.reason = "timed out (stale heartbeat)";
-        } else if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-            try {
-                out.rowBytes = readWholeFile(rowPath_, "cell row");
-                out.kind = AttemptOutcome::Kind::Row;
-            } catch (const std::exception &e) {
-                out.reason =
-                    std::string("returned a bad row: ") + e.what();
+int
+RunnerTransport::reap(bool graceful)
+{
+    int status = 0;
+    const auto deadline = Clock::now() + kExitGrace;
+    if (graceful) {
+        while (::waitpid(pid_, &status, WNOHANG) == 0) {
+            if (Clock::now() >= deadline) {
+                graceful = false;
+                break;
             }
-        } else {
-            out.reason = "died (" + describeExit(status) + ")";
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
-        return out;
     }
-
-    void
-    kill() override
-    {
-        if (pid_ <= 0)
-            return;
-        timedOut_ = true;
+    if (!graceful) {
         ::kill(pid_, SIGKILL);
+        ::waitpid(pid_, &status, 0);
     }
+    pid_ = -1;
+    return status;
+}
 
-    double
-    idleSeconds() const override
-    {
-        const std::time_t last =
-            std::max(fileMtime(heartbeatPath_), spawnTime_);
-        return std::difftime(std::time(nullptr), last);
-    }
-
-    void
-    abandon() override
-    {
-        if (pid_ <= 0)
-            return;
-        ::kill(pid_, SIGKILL);
-        int status = 0;
-        ::waitpid(pid_, &status, 0); // no zombies behind a stop injection
-        pid_ = -1;
-    }
-
-  private:
-    std::string runnerPath_;
-    std::string name_;
-    pid_t pid_ = -1;
-    bool timedOut_ = false;
-    std::time_t spawnTime_ = 0;
-    std::string heartbeatPath_;
-    std::string rowPath_;
-};
-
-// ---------------------------------------------------------------------
-// Remote TCP slot: one runner_daemon endpoint, one connection per
-// attempt.
-
-class TcpRunnerTransport final : public RunnerTransport
+bool
+RunnerTransport::start(const AttemptSpec &spec)
 {
-    using Clock = std::chrono::steady_clock;
-
-  public:
-    explicit TcpRunnerTransport(const std::string &endpoint)
-        : endpoint_(parseTcpEndpoint(endpoint)),
-          name_("tcp:" + endpoint_.toString())
-    {
-        ignoreSigpipe();
-    }
-
-    const std::string &name() const override { return name_; }
-    bool alive() const override { return alive_; }
-    bool busy() const override { return busy_; }
-
-    bool
-    start(const AttemptSpec &spec) override
-    {
+    if (daemonPath_.empty()) {
         bool refused = false;
         fd_ = tcpConnect(endpoint_, kConnectTimeoutMs, refused);
         if (!fd_.valid()) {
@@ -212,231 +154,188 @@ class TcpRunnerTransport final : public RunnerTransport
                                  std::strerror(errno));
             return false;
         }
+    } else {
+        spawn(spec);
+    }
 
-        HelloPayload hello;
-        hello.protocolVersion = kNetProtocolVersion;
-        hello.jobWireVersion = kCellJobVersion;
-        hello.rowWireVersion = kCellRowVersion;
-        hello.checkpointEvery =
-            spec.checkpointPath.empty() ? -1 : spec.checkpointEvery;
+    HelloPayload hello;
+    hello.protocolVersion = kNetProtocolVersion;
+    hello.jobWireVersion = kCellJobVersion;
+    hello.rowWireVersion = kCellRowVersion;
+    hello.checkpointEvery =
+        spec.checkpointPath.empty() ? -1 : spec.checkpointEvery;
 
-        // Hello, then the previous attempt's uploaded checkpoint (so a
-        // retry resumes even on a different machine), then the job.
-        std::string wire =
-            encodeFrame(FrameType::Hello, encodeHello(hello));
-        if (!spec.checkpointPath.empty() &&
-            fs::exists(spec.checkpointPath)) {
-            wire += encodeFrame(
-                FrameType::Checkpoint,
-                readWholeFile(spec.checkpointPath, "cell checkpoint"));
-        }
+    // Hello, then the previous attempt's uploaded checkpoint (so a
+    // retry resumes even on a different machine), then the job.
+    std::string wire = encodeFrame(FrameType::Hello, encodeHello(hello));
+    if (!spec.checkpointPath.empty() &&
+        std::filesystem::exists(spec.checkpointPath)) {
         wire += encodeFrame(
-            FrameType::Job, readWholeFile(spec.jobPath, "cell job"));
-        if (!sendAll(fd_.fd(), wire.data(), wire.size())) {
-            fd_.reset();
+            FrameType::Checkpoint,
+            readWholeFile(spec.checkpointPath, "cell checkpoint"));
+    }
+    wire += encodeFrame(FrameType::Job,
+                        readWholeFile(spec.jobPath, "cell job"));
+    if (!sendAll(fd_.fd(), wire.data(), wire.size())) {
+        fd_.reset();
+        if (pid_ > 0)
+            retire("worker died during job upload (" +
+                   describeExit(reap(false)) + ")");
+        else
             retire("dropped the connection during job upload");
-            return false;
-        }
-
-        setNonBlocking(fd_.fd());
-        reader_ = FrameReader{};
-        checkpointPath_ = spec.checkpointPath;
-        handshaken_ = false;
-        timedOut_ = false;
-        busy_ = true;
-        lastActivity_ = Clock::now();
-        return true;
+        return false;
     }
 
-    AttemptOutcome
-    poll() override
-    {
-        AttemptOutcome out;
-        if (timedOut_)
-            return finish(died("timed out (stale heartbeat)"));
-
-        bool eof = false;
-        std::string sockError;
-        char buf[64 * 1024];
-        for (;;) {
-            const long n = recvSome(fd_.fd(), buf, sizeof(buf));
-            if (n > 0) {
-                reader_.feed(buf, static_cast<std::size_t>(n));
-                lastActivity_ = Clock::now();
-                continue;
-            }
-            if (n == 0) {
-                eof = true;
-            } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
-                // drained for now
-            } else {
-                sockError = std::strerror(errno);
-            }
-            break;
-        }
-
-        Frame frame;
-        while (reader_.next(frame)) {
-            if (!handshaken_ && frame.type != FrameType::Hello) {
-                // A daemon that skips the handshake is the wrong build
-                // or the wrong service; do not burn cell retries on it.
-                retire("spoke before the handshake");
-                return finish(diedNoAttempt(
-                    "daemon skipped the handshake; endpoint retired"));
-            }
-            switch (frame.type) {
-            case FrameType::Hello: {
-                HelloPayload hello;
-                try {
-                    hello = decodeHello(frame.payload);
-                } catch (const std::exception &e) {
-                    retire(std::string("malformed hello: ") + e.what());
-                    return finish(diedNoAttempt(
-                        "daemon sent a malformed hello; endpoint "
-                        "retired"));
-                }
-                if (hello.protocolVersion != kNetProtocolVersion ||
-                    hello.jobWireVersion != kCellJobVersion ||
-                    hello.rowWireVersion != kCellRowVersion) {
-                    retire("version mismatch (daemon proto " +
-                           std::to_string(hello.protocolVersion) +
-                           ", job v" +
-                           std::to_string(hello.jobWireVersion) +
-                           ", row v" +
-                           std::to_string(hello.rowWireVersion) + ")");
-                    return finish(diedNoAttempt(
-                        "daemon version mismatch; endpoint retired"));
-                }
-                handshaken_ = true;
-                break;
-            }
-            case FrameType::Heartbeat:
-                break; // liveness is any received byte; nothing to do
-            case FrameType::Checkpoint:
-                // The scheduler's disk is the checkpoint's durable
-                // home: land each upload atomically where a retry (on
-                // any transport) will look for it.
-                if (!checkpointPath_.empty())
-                    atomicWriteFile(checkpointPath_, frame.payload,
-                                    "cell checkpoint");
-                break;
-            case FrameType::Row:
-                out.kind = AttemptOutcome::Kind::Row;
-                out.rowBytes = std::move(frame.payload);
-                return finish(std::move(out));
-            case FrameType::Job:
-                return finish(
-                    died("sent an unexpected frame (job)"));
-            }
-        }
-
-        if (!reader_.error().empty()) {
-            if (!handshaken_) {
-                retire("malformed handshake (" + reader_.error() + ")");
-                return finish(diedNoAttempt(
-                    "daemon handshake was malformed; endpoint retired"));
-            }
-            return finish(died("sent a malformed frame (" +
-                               reader_.error() + ")"));
-        }
-        if (eof || !sockError.empty()) {
-            const std::string what =
-                eof ? "closed the connection mid-cell"
-                    : "connection error (" + sockError + ")";
-            if (!handshaken_) {
-                retire(what);
-                return finish(diedNoAttempt(
-                    "daemon " + what + " before the handshake; "
-                    "endpoint retired"));
-            }
-            return finish(died(what));
-        }
-        return out; // Running
-    }
-
-    void
-    kill() override
-    {
-        timedOut_ = true;
-        fd_.reset();
-    }
-
-    double
-    idleSeconds() const override
-    {
-        return std::chrono::duration<double>(Clock::now() -
-                                             lastActivity_)
-            .count();
-    }
-
-    void
-    abandon() override
-    {
-        fd_.reset();
-        busy_ = false;
-    }
-
-  private:
-    static constexpr int kConnectTimeoutMs = 5000;
-
-    AttemptOutcome
-    died(std::string reason)
-    {
-        AttemptOutcome out;
-        out.kind = AttemptOutcome::Kind::Died;
-        out.reason = std::move(reason);
-        return out;
-    }
-
-    AttemptOutcome
-    diedNoAttempt(std::string reason)
-    {
-        AttemptOutcome out = died(std::move(reason));
-        out.consumesAttempt = false;
-        return out;
-    }
-
-    AttemptOutcome
-    finish(AttemptOutcome out)
-    {
-        fd_.reset();
-        busy_ = false;
-        return out;
-    }
-
-    void
-    retire(const std::string &why)
-    {
-        alive_ = false;
-        AUTOCAT_LOG_WARN << "dist sweep: retiring endpoint " << name_
-                         << ": " << why;
-    }
-
-    TcpEndpoint endpoint_;
-    std::string name_;
-    bool alive_ = true;
-    bool busy_ = false;
-    bool handshaken_ = false;
-    bool timedOut_ = false;
-    OwnedFd fd_;
-    FrameReader reader_;
-    std::string checkpointPath_;
-    Clock::time_point lastActivity_{};
-};
-
-} // namespace
-
-std::unique_ptr<RunnerTransport>
-makeLocalProcessTransport(std::string runner_path, int slot)
-{
-    return std::make_unique<LocalProcessTransport>(
-        std::move(runner_path), slot);
+    setNonBlocking(fd_.fd());
+    reader_ = FrameReader{};
+    checkpointPath_ = spec.checkpointPath;
+    handshaken_ = false;
+    timedOut_ = false;
+    busy_ = true;
+    lastActivity_ = Clock::now();
+    return true;
 }
 
-std::unique_ptr<RunnerTransport>
-makeTcpRunnerTransport(const std::string &endpoint)
+AttemptOutcome
+RunnerTransport::poll()
 {
-    return std::make_unique<TcpRunnerTransport>(endpoint);
+    AttemptOutcome out;
+    if (timedOut_)
+        return finish(died("timed out (stale heartbeat)"));
+
+    bool eof = false;
+    std::string sockError;
+    char buf[64 * 1024];
+    for (;;) {
+        const long n = recvSome(fd_.fd(), buf, sizeof(buf));
+        if (n > 0) {
+            reader_.feed(buf, static_cast<std::size_t>(n));
+            lastActivity_ = Clock::now();
+            continue;
+        }
+        if (n == 0) {
+            eof = true;
+        } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+            // drained for now
+        } else {
+            sockError = std::strerror(errno);
+        }
+        break;
+    }
+
+    Frame frame;
+    while (reader_.next(frame)) {
+        if (!handshaken_ && frame.type != FrameType::Hello) {
+            // A worker that skips the handshake is the wrong build or
+            // the wrong service; do not burn cell retries on it.
+            retire("spoke before the handshake");
+            return finish(
+                died("worker skipped the handshake; slot retired",
+                     false));
+        }
+        switch (frame.type) {
+        case FrameType::Hello: {
+            HelloPayload hello;
+            try {
+                hello = decodeHello(frame.payload);
+            } catch (const std::exception &e) {
+                retire(std::string("malformed hello: ") + e.what());
+                return finish(died(
+                    "worker sent a malformed hello; slot retired",
+                    false));
+            }
+            if (hello.protocolVersion != kNetProtocolVersion ||
+                hello.jobWireVersion != kCellJobVersion ||
+                hello.rowWireVersion != kCellRowVersion) {
+                retire("version mismatch (daemon proto " +
+                       std::to_string(hello.protocolVersion) + ", job v" +
+                       std::to_string(hello.jobWireVersion) + ", row v" +
+                       std::to_string(hello.rowWireVersion) + ")");
+                return finish(
+                    died("worker version mismatch; slot retired", false));
+            }
+            handshaken_ = true;
+            break;
+        }
+        case FrameType::Heartbeat:
+            break; // liveness is any received byte; nothing to do
+        case FrameType::Checkpoint:
+            // The scheduler's disk is the checkpoint's durable home:
+            // land each upload atomically where a retry (on any slot)
+            // will look for it.
+            if (!checkpointPath_.empty())
+                atomicWriteFile(checkpointPath_, frame.payload,
+                                "cell checkpoint");
+            break;
+        case FrameType::Row:
+            out.kind = AttemptOutcome::Kind::Row;
+            out.rowBytes = std::move(frame.payload);
+            return finish(std::move(out));
+        case FrameType::Job:
+            return finish(died("sent an unexpected frame (job)"));
+        }
+    }
+
+    if (!reader_.error().empty()) {
+        if (!handshaken_) {
+            retire("malformed handshake (" + reader_.error() + ")");
+            return finish(died(
+                "worker handshake was malformed; slot retired", false));
+        }
+        return finish(
+            died("sent a malformed frame (" + reader_.error() + ")"));
+    }
+    if (eof || !sockError.empty()) {
+        std::string what = eof ? "closed the connection mid-cell"
+                               : "connection error (" + sockError + ")";
+        if (pid_ > 0) {
+            fd_.reset();
+            what = "died (" + describeExit(reap(true)) + ")";
+        }
+        if (!handshaken_) {
+            retire(what);
+            return finish(died("worker " + what +
+                                   " before the handshake; slot retired",
+                               false));
+        }
+        return finish(died(what));
+    }
+    return out; // Running
+}
+
+double
+RunnerTransport::idleSeconds() const
+{
+    return std::chrono::duration<double>(Clock::now() - lastActivity_)
+        .count();
+}
+
+void
+RunnerTransport::abandon()
+{
+    fd_.reset();
+    if (pid_ > 0)
+        reap(false); // no zombies behind a stop injection
+    busy_ = false;
+}
+
+AttemptOutcome
+RunnerTransport::finish(AttemptOutcome out)
+{
+    fd_.reset();
+    // A child that delivered its row is on its way out; any other
+    // child is ended here.
+    if (pid_ > 0)
+        reap(out.kind == AttemptOutcome::Kind::Row);
+    busy_ = false;
+    return out;
+}
+
+void
+RunnerTransport::retire(const std::string &why)
+{
+    alive_ = false;
+    AUTOCAT_LOG_WARN << "dist sweep: retiring " << name_ << ": " << why;
 }
 
 } // namespace autocat

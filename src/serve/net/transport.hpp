@@ -4,35 +4,39 @@
  * cell attempt physically runs*. The scheduler owns a fleet of
  * transports — each one worker slot — and speaks one vocabulary to
  * all of them: start an attempt, poll for its outcome, kill it when
- * its heartbeat goes stale. Mixed fleets (local fork/exec slots plus
- * remote TCP daemons) fall out for free.
+ * it stops showing life.
  *
- *  - LocalProcessTransport: fork/exec of the cell_runner executable —
- *    PR 6's process boundary, byte-identical semantics. Liveness is
- *    the heartbeat file's mtime; job/row/checkpoint all travel
- *    through the shared work/checkpoint directories.
+ * Every slot talks to the one worker executable, runner_daemon, over
+ * the one frame session (serve/net/frame.hpp): handshake Hello
+ * (protocol + job/row wire versions), ship the job blob (and the last
+ * uploaded checkpoint, so a retry resumes from the previous attempt's
+ * progress on any slot), then consume Heartbeat/Checkpoint/Row frames
+ * until the row lands or the stream dies. Checkpoint uploads are
+ * written (atomically) to the cell's scheduler-side checkpoint path —
+ * the scheduler's disk is the durable home; workers are disposable.
+ * Liveness is any received frame. Slots differ only in where the
+ * stream comes from and how an attempt is ended:
  *
- *  - TcpRunnerTransport: one runner_daemon endpoint. A connection is
- *    one attempt: handshake Hello (protocol + job/row wire versions),
- *    ship the job blob (and the last uploaded checkpoint, so a retry
- *    resumes from the previous attempt's progress even on a different
- *    machine), then consume Heartbeat/Checkpoint/Row frames until the
- *    row lands or the stream dies. Checkpoint uploads are written
- *    (atomically) to the cell's scheduler-side checkpoint path — the
- *    scheduler's disk is the durable home; daemons are disposable.
+ *  - tcp(): connect to a runner_daemon endpoint, one connection per
+ *    attempt; kill/abandon close the connection.
+ *  - local(): spawn `runner_daemon --fd 3 --work-dir <grid workDir>
+ *    [chaos flags]` per attempt over a socketpair; kill/abandon
+ *    SIGKILL and reap the child, and a child that dies reports its
+ *    reaped status ("died (killed by signal 9)").
  *
- * Failure vocabulary, shared by both:
+ * Failure vocabulary:
  *
  *  - Outcome::Row — the attempt produced row-blob bytes; the
  *    scheduler validates them (checksum, version, index).
  *  - Outcome::Died with consumesAttempt=true — the attempt was
- *    running and was lost (process death, connection drop, malformed
+ *    running and was lost (worker death, connection drop, malformed
  *    frame, stale heartbeat). Costs one retry.
  *  - start() returning false, or Died with consumesAttempt=false —
- *    the attempt never actually started (unreachable endpoint,
- *    version-mismatched daemon). The transport retires itself
- *    (alive() goes false) and the cell requeues without burning its
- *    budget: a dead machine must not eat a cell's retries.
+ *    the attempt never got past the handshake (unreachable endpoint,
+ *    version-mismatched daemon, a child that died before its Hello).
+ *    The slot retires itself (alive() goes false) and the cell
+ *    requeues without burning its budget: a dead machine or a broken
+ *    worker binary must not eat a cell's retries.
  */
 
 #ifndef AUTOCAT_SERVE_NET_TRANSPORT_HPP
@@ -41,8 +45,10 @@
 #include <chrono>
 #include <memory>
 #include <string>
+#include <vector>
 
-#include "eval/sweep.hpp"
+#include <sys/types.h>
+
 #include "serve/net/frame.hpp"
 #include "util/socket.hpp"
 
@@ -51,21 +57,14 @@ namespace autocat {
 /** Everything one attempt needs, resolved by the scheduler. */
 struct AttemptSpec
 {
-    const SweepCell *cell = nullptr; ///< identity (labels, chaos match)
-    int attempt = 1;
-
-    std::string jobPath;        ///< staged job blob (read by both kinds)
-    std::string rowPath;        ///< local runner's row output file
-    std::string heartbeatPath;  ///< local runner's heartbeat file
+    std::string jobPath;        ///< staged job blob
+    std::string workDir;        ///< local child's --work-dir
     std::string checkpointPath; ///< scheduler-side ckpt; "" = disabled
     int checkpointEvery = 0;    ///< cadence when checkpointing is on
 
-    // Fault injection (local transports only; daemons carry their own
-    // chaos flags on their command line).
-    bool chaosKill = false;
-    int chaosKillAfter = 1;
-    bool chaosHang = false;
-    bool chaosSigterm = false; ///< SIGTERM-self instead of SIGKILL-self
+    /** Extra runner_daemon flags for a local child (fault injection;
+     *  TCP daemons carry their own on their command line). */
+    std::vector<std::string> chaosFlags;
 };
 
 /** Result of polling a busy transport. */
@@ -88,50 +87,76 @@ struct AttemptOutcome
 class RunnerTransport
 {
   public:
-    virtual ~RunnerTransport() = default;
+    /** Slot for the runner_daemon at @p endpoint ("host:port"; parsed
+     *  eagerly — throws std::invalid_argument when malformed). */
+    static std::unique_ptr<RunnerTransport>
+    tcp(const std::string &endpoint);
+
+    /** Local slot number @p slot spawning the runner_daemon at
+     *  @p daemon_path once per attempt. */
+    static std::unique_ptr<RunnerTransport>
+    local(std::string daemon_path, int slot);
+
+    ~RunnerTransport() { abandon(); }
+    RunnerTransport(const RunnerTransport &) = delete;
+    RunnerTransport &operator=(const RunnerTransport &) = delete;
 
     /** Stable display name ("local[2]", "tcp:127.0.0.1:4417"). */
-    virtual const std::string &name() const = 0;
+    const std::string &name() const { return name_; }
 
-    /** False once permanently retired (unreachable endpoint). */
-    virtual bool alive() const = 0;
+    /** False once permanently retired. */
+    bool alive() const { return alive_; }
 
     /** True while an attempt is in flight. */
-    virtual bool busy() const = 0;
+    bool busy() const { return busy_; }
 
     /**
      * Begin an attempt. Returns false when it could not start — the
-     * transport has retired itself and the caller requeues the cell
+     * slot has retired itself and the caller requeues the cell
      * without consuming an attempt. Must only be called when idle.
      */
-    virtual bool start(const AttemptSpec &spec) = 0;
+    bool start(const AttemptSpec &spec);
 
     /** Non-blocking progress check; only meaningful while busy. A
      *  terminal outcome (Row/Died) frees the slot. */
-    virtual AttemptOutcome poll() = 0;
+    AttemptOutcome poll();
 
-    /** Forcibly end the in-flight attempt (stale heartbeat). The next
-     *  poll() reports the death as "timed out (stale heartbeat)". */
-    virtual void kill() = 0;
+    /** End the in-flight attempt (stale heartbeat). The next poll()
+     *  reports the death as "timed out (stale heartbeat)". */
+    void kill() { timedOut_ = true; }
 
-    /** Seconds since the attempt last showed life (spawn, heartbeat,
-     *  any received frame). */
-    virtual double idleSeconds() const = 0;
+    /** Seconds since the attempt last showed life (start or any
+     *  received frame). */
+    double idleSeconds() const;
 
-    /** Scheduler is going down mid-run (stop injection): reap local
-     *  children / drop connections without reporting an outcome. */
-    virtual void abandon() = 0;
+    /** Scheduler is going down mid-run (stop injection): drop the
+     *  stream and reap a local child without reporting an outcome. */
+    void abandon();
+
+  private:
+    using Clock = std::chrono::steady_clock;
+
+    RunnerTransport(std::string name, TcpEndpoint endpoint,
+                    std::string daemon_path);
+
+    void spawn(const AttemptSpec &spec);
+    int reap(bool graceful);
+    AttemptOutcome finish(AttemptOutcome out);
+    void retire(const std::string &why);
+
+    std::string name_;
+    TcpEndpoint endpoint_;   ///< tcp slots
+    std::string daemonPath_; ///< local slots; empty for tcp
+    pid_t pid_ = -1;         ///< local child of the attempt in flight
+    bool alive_ = true;
+    bool busy_ = false;
+    bool handshaken_ = false;
+    bool timedOut_ = false;
+    OwnedFd fd_;
+    FrameReader reader_;
+    std::string checkpointPath_;
+    Clock::time_point lastActivity_{};
 };
-
-/** Fork/exec slot running @p runner_path (the cell_runner binary). */
-std::unique_ptr<RunnerTransport>
-makeLocalProcessTransport(std::string runner_path, int slot);
-
-/** TCP slot speaking the serve/net frame protocol to a runner_daemon
- *  at @p endpoint ("host:port"; parsed eagerly — throws
- *  std::invalid_argument for a malformed endpoint). */
-std::unique_ptr<RunnerTransport>
-makeTcpRunnerTransport(const std::string &endpoint);
 
 } // namespace autocat
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Cell-runner wire format: a SweepCell travels to a worker process as
+ * Cell wire format: a SweepCell travels to a worker process as
  * a self-contained *job blob*, and the finished SweepCellResult comes
  * back as a *row blob*.
  *

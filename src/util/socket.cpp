@@ -130,7 +130,9 @@ tcpConnect(const TcpEndpoint &endpoint, int timeout_ms, bool &refused)
         errno = EINVAL;
         return OwnedFd();
     }
-    OwnedFd fd(::socket(AF_INET, SOCK_STREAM, 0));
+    // Close-on-exec: a local worker the scheduler spawns later must not
+    // hold this connection open after the scheduler closes it.
+    OwnedFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
     if (!fd.valid())
         return OwnedFd();
     // Non-blocking connect so the timeout is enforceable, restored to

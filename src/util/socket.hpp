@@ -105,7 +105,7 @@ OwnedFd tcpAccept(int listen_fd, int timeout_ms);
 /**
  * Connect to @p endpoint with a handshake timeout. Returns an invalid
  * OwnedFd on refusal/timeout/error; the fd comes back in *blocking*
- * mode. @p refused is set when the failure was ECONNREFUSED — the
+ * mode and close-on-exec. @p refused is set when the failure was ECONNREFUSED — the
  * scheduler retires dead daemons on refusal but keeps busy ones.
  */
 OwnedFd tcpConnect(const TcpEndpoint &endpoint, int timeout_ms,

@@ -8,9 +8,8 @@
  * run (including one with a deliberately killed worker) must render
  * the exact same report as `workers=1` in-process.
  *
- * Scheduler tests spawn the real cell_runner executable, located via
- * the AUTOCAT_CELL_RUNNER environment variable (set by CTest); they
- * skip when it is absent (e.g. running the binary by hand).
+ * Scheduler tests spawn the real runner_daemon executable, whose path
+ * the build compiles in (AUTOCAT_TEST_RUNNER_DAEMON).
  */
 
 #include <gtest/gtest.h>
@@ -76,20 +75,12 @@ tinyDistSweep()
     return cfg;
 }
 
-/** Runner executable, or empty when the env var is unset. */
-std::string
-runnerPath()
-{
-    const char *p = std::getenv("AUTOCAT_CELL_RUNNER");
-    return p ? p : "";
-}
-
 DistSweepOptions
 distOptions(const fs::path &root)
 {
     DistSweepOptions opts;
     opts.processes = 3;
-    opts.runnerPath = runnerPath();
+    opts.runnerPath = AUTOCAT_TEST_RUNNER_DAEMON;
     opts.workDir = (root / "work").string();
     opts.checkpointDir = (root / "ckpt").string();
     opts.checkpointEvery = 1;
@@ -279,8 +270,6 @@ TEST(DistScheduler, RejectsMissingRunner)
  */
 TEST(DistScheduler, KilledWorkerResumesByteIdentical)
 {
-    if (runnerPath().empty())
-        GTEST_SKIP() << "AUTOCAT_CELL_RUNNER not set";
     const fs::path root = scratchDir("identical");
 
     const SweepConfig cfg = tinyDistSweep();
@@ -312,8 +301,6 @@ TEST(DistScheduler, KilledWorkerResumesByteIdentical)
 
 TEST(DistScheduler, DeterministicCellFailureIsARowNotARetry)
 {
-    if (runnerPath().empty())
-        GTEST_SKIP() << "AUTOCAT_CELL_RUNNER not set";
     const fs::path root = scratchDir("cellfail");
 
     std::vector<SweepCell> cells = expandSweepGrid(tinyDistSweep());
@@ -343,8 +330,6 @@ TEST(DistScheduler, DeterministicCellFailureIsARowNotARetry)
 
 TEST(DistScheduler, HungWorkerIsKilledRequeuedAndFinishes)
 {
-    if (runnerPath().empty())
-        GTEST_SKIP() << "AUTOCAT_CELL_RUNNER not set";
     const fs::path root = scratchDir("hang");
 
     std::vector<SweepCell> cells = expandSweepGrid(tinyDistSweep());
@@ -369,8 +354,6 @@ TEST(DistScheduler, HungWorkerIsKilledRequeuedAndFinishes)
 
 TEST(DistScheduler, RetryBudgetExhaustionLandsAsPerCellError)
 {
-    if (runnerPath().empty())
-        GTEST_SKIP() << "AUTOCAT_CELL_RUNNER not set";
     const fs::path root = scratchDir("budget");
 
     std::vector<SweepCell> cells = expandSweepGrid(tinyDistSweep());
@@ -433,7 +416,7 @@ TEST(SweepCheckpointing, ConfigKeysRoundTrip)
     EXPECT_EQ(back.distWorkDir, "scratch/dist");
     // Render->parse->render is a fixed point for the new keys too.
     EXPECT_EQ(renderSweepConfig(back), renderSweepConfig(cfg));
-    // runnerPath and the chaos hooks are CLI-only, never config keys.
+    // The worker path and the chaos hooks are never config keys.
     EXPECT_THROW(parseSweepConfig(std::string("sweep.runner = x\n")),
                  std::invalid_argument);
     EXPECT_THROW(

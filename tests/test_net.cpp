@@ -3,16 +3,15 @@
  * Networked campaign service tests: the ACNF frame layer (round
  * trips, partial reads, fuzzing truncation/corruption), the
  * crash-safe grid manifest (re-entry, identity keying, recovery from
- * torn state), graceful SIGTERM in the runner, and the full
+ * torn state), graceful SIGTERM in the worker, and the full
  * daemon-fleet scheduler — all pinned against the byte-identity
  * oracle: a grid sharded across 3 TCP runner daemons, with one daemon
  * SIGKILLed mid-cell AND the scheduler itself killed and restarted
  * from the manifest, must render the exact same report as `workers=1`
  * in-process.
  *
- * Fleet tests spawn the real cell_runner / runner_daemon executables,
- * located via the AUTOCAT_CELL_RUNNER / AUTOCAT_RUNNER_DAEMON
- * environment variables (set by CTest); they skip when absent.
+ * Fleet tests spawn the real runner_daemon executable, whose path the
+ * build compiles in (AUTOCAT_TEST_RUNNER_DAEMON).
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +23,9 @@
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -83,19 +84,7 @@ tinyNetSweep()
     return cfg;
 }
 
-std::string
-runnerPath()
-{
-    const char *p = std::getenv("AUTOCAT_CELL_RUNNER");
-    return p ? p : "";
-}
-
-std::string
-daemonPath()
-{
-    const char *p = std::getenv("AUTOCAT_RUNNER_DAEMON");
-    return p ? p : "";
-}
+const std::string kDaemon = AUTOCAT_TEST_RUNNER_DAEMON;
 
 /** fork/exec a child with argv @p args; returns its pid. */
 pid_t
@@ -134,7 +123,7 @@ spawnDaemon(const fs::path &root, const std::string &name,
 {
     const std::string port_file = (root / (name + ".port")).string();
     std::vector<std::string> args = {
-        daemonPath(), "--port",      "0",
+        kDaemon,       "--port",      "0",
         "--port-file", port_file,    "--work-dir",
         (root / name).string(),
     };
@@ -465,72 +454,110 @@ TEST(NetConfig, EndpointParsing)
 
 // ------------------------------------------------- graceful SIGTERM
 
+/** What one hand-driven `runner_daemon --fd N` session produced. */
+struct FdSession
+{
+    int status = 0;         ///< the child's wait status
+    std::string checkpoint; ///< last Checkpoint upload ("" = none)
+    std::string row;        ///< Row payload ("" = none)
+};
+
+/**
+ * Spawn `runner_daemon --fd N @p extra_args` on one end of a
+ * socketpair, send Hello(checkpoint every epoch) [Checkpoint] Job,
+ * collect every frame until the child closes its end, and reap it.
+ */
+FdSession
+runFdSession(const std::string &job, const std::string &checkpoint,
+             const std::vector<std::string> &extra_args)
+{
+    int ends[2];
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, ends), 0);
+    ::fcntl(ends[0], F_SETFD, FD_CLOEXEC); // only the child's end leaks
+    OwnedFd mine(ends[0]);
+    std::vector<std::string> args = {kDaemon, "--fd",
+                                     std::to_string(ends[1])};
+    args.insert(args.end(), extra_args.begin(), extra_args.end());
+    const pid_t pid = spawnChild(args);
+    ::close(ends[1]);
+
+    HelloPayload hello;
+    hello.jobWireVersion = kCellJobVersion;
+    hello.rowWireVersion = kCellRowVersion;
+    hello.checkpointEvery = 1;
+    std::string wire = encodeFrame(FrameType::Hello, encodeHello(hello));
+    if (!checkpoint.empty())
+        wire += encodeFrame(FrameType::Checkpoint, checkpoint);
+    wire += encodeFrame(FrameType::Job, job);
+    EXPECT_TRUE(sendAll(mine.fd(), wire.data(), wire.size()));
+
+    FdSession session;
+    FrameReader reader;
+    char buf[64 * 1024];
+    long n;
+    while ((n = recvSome(mine.fd(), buf, sizeof(buf))) > 0)
+        reader.feed(buf, static_cast<std::size_t>(n));
+    Frame frame;
+    while (reader.next(frame)) {
+        if (frame.type == FrameType::Checkpoint)
+            session.checkpoint = frame.payload;
+        else if (frame.type == FrameType::Row)
+            session.row = frame.payload;
+    }
+    EXPECT_EQ(reader.error(), "");
+    EXPECT_EQ(::waitpid(pid, &session.status, 0), pid);
+    return session;
+}
+
 TEST(RunnerSigterm, ExitsRetryableWithDurableCheckpoint)
 {
-    if (runnerPath().empty())
-        GTEST_SKIP() << "AUTOCAT_CELL_RUNNER not set";
     const fs::path root = scratchDir("sigterm");
-
     const std::vector<SweepCell> cells = expandSweepGrid(tinyNetSweep());
-    const std::string job = (root / "job.blob").string();
-    const std::string row = (root / "row.blob").string();
-    const std::string ckpt = (root / "cell.ckpt").string();
-    atomicWriteFile(job, serializeCellJob(cells[0]), "job");
+    const std::string job = serializeCellJob(cells[0]);
 
-    // The chaos flag SIGTERMs the runner right after its first
-    // checkpoint write: it must exit with the dedicated retryable
-    // code, leaving the checkpoint durable and NO row.
-    const pid_t pid = spawnChild({runnerPath(), job, row,
-                                  "--checkpoint", ckpt,
-                                  "--checkpoint-every", "1",
-                                  "--chaos-sigterm-after", "1"});
-    int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), kRunnerExitSigterm);
-    EXPECT_FALSE(fs::exists(row));
-    ASSERT_TRUE(fs::exists(ckpt));
+    // The chaos flag SIGTERMs the worker right after its first
+    // checkpoint upload: it must exit with the dedicated retryable
+    // code, with that upload delivered and NO row.
+    const FdSession termed =
+        runFdSession(job, "",
+                     {"--work-dir", (root / "termed").string(),
+                      "--chaos-sigterm-after", "1"});
+    ASSERT_TRUE(WIFEXITED(termed.status));
+    EXPECT_EQ(WEXITSTATUS(termed.status), kRunnerExitSigterm);
+    ASSERT_FALSE(termed.checkpoint.empty());
+    EXPECT_EQ(termed.row, "");
 
-    // The retry resumes from that checkpoint and must produce the
-    // same row bytes as an uninterrupted run.
-    const pid_t retry = spawnChild({runnerPath(), job, row,
-                                    "--checkpoint", ckpt,
-                                    "--checkpoint-every", "1"});
-    ASSERT_EQ(::waitpid(retry, &status, 0), retry);
-    ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 0);
-
-    const std::string clean_row = (root / "clean_row.blob").string();
-    const std::string clean_ckpt = (root / "clean.ckpt").string();
-    const pid_t clean = spawnChild({runnerPath(), job, clean_row,
-                                    "--checkpoint", clean_ckpt,
-                                    "--checkpoint-every", "1"});
-    ASSERT_EQ(::waitpid(clean, &status, 0), clean);
-    EXPECT_EQ(WEXITSTATUS(status), 0);
+    // A retry seeded with that checkpoint resumes and must render the
+    // same report as an uninterrupted run.
+    const FdSession retry = runFdSession(
+        job, termed.checkpoint, {"--work-dir", (root / "retry").string()});
+    const FdSession clean =
+        runFdSession(job, "", {"--work-dir", (root / "clean").string()});
+    for (const FdSession *run : {&retry, &clean}) {
+        ASSERT_TRUE(WIFEXITED(run->status));
+        EXPECT_EQ(WEXITSTATUS(run->status), 0);
+    }
     // Row blobs embed wall time, so compare the deterministic report
     // rendering, not the raw bytes.
-    const auto asReport = [](const std::string &path) {
+    const auto asReport = [](const std::string &row) {
         SweepReport report;
         report.name = "one";
-        report.cells.push_back(
-            deserializeCellRow(readWholeFile(path, "row")));
+        report.cells.push_back(deserializeCellRow(row));
         return sweepReportJson(report, {});
     };
-    EXPECT_EQ(asReport(row), asReport(clean_row));
+    EXPECT_EQ(asReport(retry.row), asReport(clean.row));
     fs::remove_all(root);
 }
 
 TEST(RunnerSigterm, SchedulerRetriesASigtermedWorker)
 {
-    if (runnerPath().empty())
-        GTEST_SKIP() << "AUTOCAT_CELL_RUNNER not set";
     const fs::path root = scratchDir("sigterm_sched");
 
     std::vector<SweepCell> cells = expandSweepGrid(tinyNetSweep());
     cells.resize(2);
     DistSweepOptions opts;
     opts.processes = 2;
-    opts.runnerPath = runnerPath();
+    opts.runnerPath = kDaemon;
     opts.workDir = (root / "work").string();
     opts.checkpointDir = (root / "ckpt").string();
     opts.checkpointEvery = 1;
@@ -548,8 +575,6 @@ TEST(RunnerSigterm, SchedulerRetriesASigtermedWorker)
 
 TEST(DaemonSigterm, IdleDaemonExitsCleanly)
 {
-    if (daemonPath().empty())
-        GTEST_SKIP() << "AUTOCAT_RUNNER_DAEMON not set";
     const fs::path root = scratchDir("daemon_sigterm");
     DaemonProc daemon = spawnDaemon(root, "d");
     ::kill(daemon.pid, SIGTERM);
@@ -561,12 +586,38 @@ TEST(DaemonSigterm, IdleDaemonExitsCleanly)
     fs::remove_all(root);
 }
 
+TEST(DaemonCli, BadPortExitsTwoWithoutAPortFile)
+{
+    const fs::path root = scratchDir("daemon_port");
+    const std::string port_file = (root / "port").string();
+    for (const std::string port : {"70000", "-1", "http"}) {
+        const pid_t pid =
+            spawnChild({kDaemon, "--port", port, "--port-file", port_file,
+                        "--work-dir", (root / "w").string()});
+        // A daemon that bound a port instead would serve forever.
+        int status = 0;
+        pid_t reaped = 0;
+        for (int i = 0; i < 1000 && reaped == 0; ++i) {
+            reaped = ::waitpid(pid, &status, WNOHANG);
+            if (reaped == 0)
+                ::usleep(10 * 1000);
+        }
+        if (reaped == 0) {
+            ::kill(pid, SIGKILL);
+            ::waitpid(pid, &status, 0);
+        }
+        ASSERT_EQ(reaped, pid) << "--port " << port << " kept running";
+        ASSERT_TRUE(WIFEXITED(status)) << port;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << port;
+        EXPECT_FALSE(fs::exists(port_file)) << port;
+    }
+    fs::remove_all(root);
+}
+
 // ------------------------------------------------- fleet scheduling
 
 TEST(NetScheduler, DeadEndpointRetiresWithoutBurningRetries)
 {
-    if (runnerPath().empty())
-        GTEST_SKIP() << "AUTOCAT_CELL_RUNNER not set";
     const fs::path root = scratchDir("dead_endpoint");
 
     // Grab a port nothing listens on: bind an ephemeral listener and
@@ -581,7 +632,7 @@ TEST(NetScheduler, DeadEndpointRetiresWithoutBurningRetries)
     cells.resize(2);
     DistSweepOptions opts;
     opts.processes = 1;
-    opts.runnerPath = runnerPath();
+    opts.runnerPath = kDaemon;
     opts.workDir = (root / "work").string();
     opts.endpoints = {"127.0.0.1:" + std::to_string(dead_port)};
     opts.maxRetries = 0; // any burned attempt would fail the cell
@@ -615,6 +666,37 @@ TEST(NetScheduler, AllEndpointsDeadFailsLoudly)
     fs::remove_all(root);
 }
 
+TEST(NetScheduler, LocalChildDyingBeforeHelloRetiresSlotForFree)
+{
+    const fs::path root = scratchDir("dead_child");
+
+    // /bin/true exits 0 without ever saying Hello: its local slot must
+    // retire like an unreachable endpoint, without charging the cell.
+    std::vector<SweepCell> cells = expandSweepGrid(tinyNetSweep());
+    cells.resize(2);
+    DaemonProc d0 = spawnDaemon(root, "d0");
+    DistSweepOptions opts;
+    opts.processes = 1;
+    opts.runnerPath = "/bin/true";
+    opts.workDir = (root / "work").string();
+    opts.endpoints = {d0.endpoint()};
+    opts.maxRetries = 0; // any burned attempt would fail the cell
+
+    const SweepReport report = runSweepCellsDist("dead_child", cells, opts);
+    reapDaemon(d0);
+    ASSERT_EQ(report.cells.size(), 2u);
+    for (const SweepCellResult &cell : report.cells) {
+        EXPECT_TRUE(cell.completed) << cell.error;
+        EXPECT_EQ(cell.attempts, 1);
+    }
+
+    // With no other slot, the grid fails loudly instead of spinning.
+    opts.endpoints.clear();
+    EXPECT_THROW(runSweepCellsDist("dead_child", cells, opts),
+                 std::runtime_error);
+    fs::remove_all(root);
+}
+
 /** Listen once, send @p payload to whoever connects, close. */
 std::thread
 evilDaemon(std::uint16_t &port, std::string payload)
@@ -632,8 +714,6 @@ evilDaemon(std::uint16_t &port, std::string payload)
 
 TEST(NetScheduler, GarbageBeforeHandshakeRetiresEndpointForFree)
 {
-    if (runnerPath().empty())
-        GTEST_SKIP() << "AUTOCAT_CELL_RUNNER not set";
     const fs::path root = scratchDir("evil_prehello");
 
     std::uint16_t evil_port = 0;
@@ -644,7 +724,7 @@ TEST(NetScheduler, GarbageBeforeHandshakeRetiresEndpointForFree)
     cells.resize(2);
     DistSweepOptions opts;
     opts.processes = 1;
-    opts.runnerPath = runnerPath();
+    opts.runnerPath = kDaemon;
     opts.workDir = (root / "work").string();
     opts.endpoints = {"127.0.0.1:" + std::to_string(evil_port)};
     opts.maxRetries = 0; // malformed-before-handshake must be free
@@ -660,8 +740,6 @@ TEST(NetScheduler, GarbageBeforeHandshakeRetiresEndpointForFree)
 
 TEST(NetScheduler, MalformedFramesMidCellConsumeOneAttemptAndRequeue)
 {
-    if (runnerPath().empty())
-        GTEST_SKIP() << "AUTOCAT_CELL_RUNNER not set";
     const fs::path root = scratchDir("evil_midcell");
 
     // A protocol-correct handshake followed by stream corruption: the
@@ -680,7 +758,7 @@ TEST(NetScheduler, MalformedFramesMidCellConsumeOneAttemptAndRequeue)
     cells.resize(2);
     DistSweepOptions opts;
     opts.processes = 1;
-    opts.runnerPath = runnerPath();
+    opts.runnerPath = kDaemon;
     opts.workDir = (root / "work").string();
     opts.endpoints = {"127.0.0.1:" + std::to_string(evil_port)};
     opts.maxRetries = 1;
@@ -699,8 +777,6 @@ TEST(NetScheduler, MalformedFramesMidCellConsumeOneAttemptAndRequeue)
 
 TEST(NetScheduler, MixedFleetMatchesLocalBytes)
 {
-    if (runnerPath().empty() || daemonPath().empty())
-        GTEST_SKIP() << "runner/daemon not set";
     const fs::path root = scratchDir("mixed");
 
     const SweepConfig cfg = tinyNetSweep();
@@ -712,7 +788,7 @@ TEST(NetScheduler, MixedFleetMatchesLocalBytes)
     DaemonProc d1 = spawnDaemon(root, "d1");
     DistSweepOptions opts;
     opts.processes = 1; // 1 local slot + 2 daemons: a mixed fleet
-    opts.runnerPath = runnerPath();
+    opts.runnerPath = kDaemon;
     opts.workDir = (root / "work").string();
     opts.checkpointDir = (root / "ckpt").string();
     opts.checkpointEvery = 1;
@@ -737,8 +813,6 @@ TEST(NetScheduler, MixedFleetMatchesLocalBytes)
  */
 TEST(NetScheduler, DaemonKillPlusSchedulerRestartIsByteIdentical)
 {
-    if (daemonPath().empty())
-        GTEST_SKIP() << "AUTOCAT_RUNNER_DAEMON not set";
     const fs::path root = scratchDir("oracle");
 
     const SweepConfig cfg = tinyNetSweep();
@@ -808,8 +882,6 @@ TEST(NetScheduler, DaemonKillPlusSchedulerRestartIsByteIdentical)
 
 TEST(Gateway, MultiTenantCampaignsShareOneFleetByteIdentically)
 {
-    if (runnerPath().empty())
-        GTEST_SKIP() << "AUTOCAT_CELL_RUNNER not set";
     const fs::path root = scratchDir("gateway");
 
     // Two tenants, different (sub)grids, one fleet. Bob's campaign
@@ -833,7 +905,7 @@ TEST(Gateway, MultiTenantCampaignsShareOneFleetByteIdentically)
 
     FleetOptions fleet;
     fleet.localProcesses = 2;
-    fleet.runnerPath = runnerPath();
+    fleet.runnerPath = kDaemon;
 
     CampaignGateway gateway((root / "gw").string(), fleet);
     gateway.submit(alice);
@@ -861,6 +933,40 @@ TEST(Gateway, MultiTenantCampaignsShareOneFleetByteIdentically)
                                  "alice-nightly" / "manifest"));
     EXPECT_TRUE(fs::is_directory(root / "gw" / "bob" / "bob-quick" /
                                  "work"));
+    fs::remove_all(root);
+}
+
+TEST(Gateway, RefusesCampaignsSharingACheckpointDir)
+{
+    const fs::path root = scratchDir("gateway_ckpt");
+    FleetOptions fleet;
+    fleet.localProcesses = 1;
+    CampaignGateway gateway((root / "gw").string(), fleet);
+
+    // Checkpoints are keyed by cell index only: a second campaign in
+    // the same directory would resume from the first one's files.
+    SweepConfig bob = tinyNetSweep();
+    bob.name = "bob-quick";
+    bob.gatewayTenant = "bob";
+    bob.checkpointDir = (root / "ckpt").string();
+    gateway.submit(bob);
+
+    SweepConfig alice = tinyNetSweep();
+    alice.name = "alice-nightly";
+    alice.gatewayTenant = "alice";
+    alice.checkpointDir = (root / "elsewhere" / ".." / "ckpt").string();
+    EXPECT_THROW(gateway.submit(alice), std::invalid_argument);
+    alice.checkpointDir = (root / "alice_ckpt").string();
+    EXPECT_NO_THROW(gateway.submit(alice));
+
+    // Campaigns without checkpoints never collide.
+    SweepConfig carol = tinyNetSweep();
+    carol.gatewayTenant = "carol";
+    SweepConfig dave = carol;
+    dave.gatewayTenant = "dave";
+    EXPECT_NO_THROW(gateway.submit(carol));
+    EXPECT_NO_THROW(gateway.submit(dave));
+    EXPECT_EQ(gateway.submissions().size(), 4u);
     fs::remove_all(root);
 }
 

@@ -270,11 +270,8 @@ TEST(SweepRun, ChannelScenarioDistShardsMatchLocalBytes)
 {
     // Same contract through the distributed service: process-sharded
     // channel-scenario cells (--dist path) must reproduce the local
-    // workers=1 bytes. Spawns the real cell_runner, located via
-    // AUTOCAT_CELL_RUNNER (set by CTest); skips when absent.
-    const char *runner = std::getenv("AUTOCAT_CELL_RUNNER");
-    if (runner == nullptr || *runner == '\0')
-        GTEST_SKIP() << "AUTOCAT_CELL_RUNNER not set";
+    // workers=1 bytes. Spawns the real runner_daemon, whose path the
+    // build compiles in.
 
     namespace fs = std::filesystem;
     const fs::path root =
@@ -304,7 +301,7 @@ TEST(SweepRun, ChannelScenarioDistShardsMatchLocalBytes)
 
     DistSweepOptions opts;
     opts.processes = 3;
-    opts.runnerPath = runner;
+    opts.runnerPath = AUTOCAT_TEST_RUNNER_DAEMON;
     opts.workDir = (root / "work").string();
     opts.checkpointDir = (root / "ckpt").string();
     opts.checkpointEvery = 1;
