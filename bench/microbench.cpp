@@ -21,6 +21,7 @@
 #include <cstdlib>
 
 #include "core/autocat.hpp"
+#include "core/config_parser.hpp"
 #include "env/env_registry.hpp"
 #include "eval/sweep.hpp"
 #include "serve/net/frame.hpp"
@@ -285,6 +286,99 @@ BM_PpoEpochPaper(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 3000);
 }
 BENCHMARK(BM_PpoEpochPaper)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+/**
+ * Observations a seeded uniform-random policy meets in the
+ * time-to-discovery cells' environments (ttdbench/src/discovery.cpp):
+ * @p rows consecutive steps, episodes restarting as they end.
+ * @p which 0 is the paper cell's 251-wide guessing game, 1 the
+ * 137-wide 2-way TLB prime+probe cell.
+ */
+Matrix
+rolloutObservations(int which, std::size_t rows)
+{
+    const char *const configs[] = {R"(
+scenario = guessing_game
+num_sets = 1
+num_ways = 4
+rep_policy = lru
+attack_addr_s = 0
+attack_addr_e = 4
+victim_addr_s = 0
+victim_addr_e = 0
+victim_no_access_enable = true
+window_size = 16
+)",
+                                   R"(
+scenario = tlb_evict
+tlb.num_sets = 1
+tlb.num_ways = 2
+tlb.rep_policy = lru
+tlb.walk_levels = 2
+tlb.level_bits = 2
+attack_addr_s = 0
+attack_addr_e = 2
+victim_addr_s = 0
+victim_addr_e = 0
+victim_no_access_enable = true
+window_size = 10
+)"};
+    const ExplorationConfig cfg = parseExplorationConfig(configs[which]);
+    auto env = makeEnv(cfg.scenario, cfg.env);
+    Rng rng(5);
+    Matrix obs(rows, env->observationSize());
+    std::vector<float> o = env->reset();
+    for (std::size_t r = 0; r < rows; ++r) {
+        std::copy(o.begin(), o.end(), obs.rowPtr(r));
+        StepResult step = env->step(rng.uniformInt(env->numActions()));
+        o = step.done ? env->reset() : std::move(step.obs);
+    }
+    return obs;
+}
+
+/**
+ * One torso update of a PPO minibatch: the training forward through
+ * the obs -> 128 -> 128 MLP, zeroGrad, and the backward that
+ * accumulates every layer's gradients. Shapes are the
+ * time-to-discovery cells': 500 x 251 guessing-game and 100 x 137 TLB
+ * minibatches. The rollout arm feeds real observations (mostly
+ * zeros); the dense arm feeds uniform (0, 1) inputs, the worst case
+ * for a kernel that skips zeros.
+ */
+void
+BM_TorsoUpdate(benchmark::State &state)
+{
+    const int which = static_cast<int>(state.range(0));
+    const bool dense = state.range(1) != 0;
+    const std::size_t rows = which == 0 ? 500 : 100;
+    Matrix obs = rolloutObservations(which, rows);
+    Rng rng(6);
+    if (dense) {
+        for (std::size_t i = 0; i < obs.size(); ++i)
+            obs.data()[i] = static_cast<float>(rng.uniformDouble());
+    }
+    Mlp torso({obs.cols(), 128, 128}, rng);
+    Matrix dy(rows, 128);
+    for (std::size_t i = 0; i < dy.size(); ++i)
+        dy.data()[i] = static_cast<float>(rng.gaussian() * 1e-3);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(torso.forwardCached(obs).data());
+        torso.zeroGrad();
+        torso.backward(dy);
+    }
+    std::size_t nnz = 0;
+    for (std::size_t i = 0; i < obs.size(); ++i)
+        nnz += obs.data()[i] != 0.0f;
+    state.SetItemsProcessed(state.iterations() * static_cast<long>(rows));
+    state.counters["obs_dim"] = static_cast<double>(obs.cols());
+    state.counters["nnz_per_row"] =
+        static_cast<double>(nnz) / static_cast<double>(rows);
+}
+BENCHMARK(BM_TorsoUpdate)
+    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->ArgNames({"tlb", "dense"})
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 /**
  * One Adam step over the paper-shaped network's 49929 parameters

@@ -141,44 +141,190 @@ TEST(Linear, GradientsMatchFiniteDifferences)
     }
 }
 
-TEST(Mlp, GradientsMatchFiniteDifferences)
+/**
+ * An observation-shaped 4 x 21 input: 7 nonzeros (92% zeros), one-hot
+ * entries, one fractional feature, and nonzeros in the k % 8 tail on
+ * both sides of its rounded/fused boundary (k = 21: positions 16-19
+ * are rounded, 20 is fused).
+ */
+Matrix
+observationShapedInput()
 {
-    Rng rng(3);
-    Mlp mlp({4, 8, 3}, rng, /*activate_last=*/false);
-    Matrix x(3, 4);
-    for (std::size_t i = 0; i < x.size(); ++i)
-        x.data()[i] = static_cast<float>(rng.gaussian());
+    Matrix x(4, 21);
+    x(0, 2) = 1.0f;
+    x(0, 17) = 1.0f;
+    x(1, 6) = 0.4375f;
+    x(1, 20) = 1.0f;
+    x(2, 11) = 1.0f;
+    x(3, 0) = 1.0f;
+    x(3, 19) = 1.0f;
+    return x;
+}
 
-    auto loss = [&] {
-        Matrix y = mlp.forward(x);
-        float s = 0.0f;
-        for (std::size_t i = 0; i < y.size(); ++i)
-            s += y.data()[i] * y.data()[i];
-        return 0.5f * s;
-    };
-
-    mlp.zeroGrad();
-    Matrix y = mlp.forward(x);
-    mlp.backward(y);  // dL/dy = y for the squared loss
-
-    auto blocks = mlp.paramBlocks();
-    const float eps = 1e-2f;
+/**
+ * Central differences of @p loss against the accumulated gradients of
+ * every @p stride-th parameter; returns how many were checked.
+ */
+template <typename Loss>
+int
+expectGradsMatchFiniteDifferences(std::vector<ParamBlock> &blocks,
+                                  Loss loss, std::size_t stride, float eps,
+                                  double abs_tol, double rel_tol)
+{
     int checked = 0;
-    for (auto &blk : blocks) {
-        for (std::size_t i = 0; i < blk.size; i += 7) {
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+        ParamBlock &blk = blocks[b];
+        for (std::size_t i = 0; i < blk.size; i += stride) {
             const float orig = blk.params[i];
             blk.params[i] = orig + eps;
-            const float up = loss();
+            const double up = loss();
             blk.params[i] = orig - eps;
-            const float down = loss();
+            const double down = loss();
             blk.params[i] = orig;
-            const float fd = (up - down) / (2 * eps);
-            EXPECT_NEAR(blk.grads[i], fd,
-                        2e-2 + 0.05 * std::abs(fd));
+            const double fd = (up - down) / (2.0 * eps);
+            EXPECT_NEAR(blk.grads[i], fd, abs_tol + rel_tol * std::abs(fd))
+                << "block " << b << ", parameter " << i;
             ++checked;
         }
     }
-    EXPECT_GT(checked, 10);
+    return checked;
+}
+
+TEST(Mlp, GradientsMatchFiniteDifferences)
+{
+    Rng rng(3);
+    Matrix gaussian(3, 4);
+    for (std::size_t i = 0; i < gaussian.size(); ++i)
+        gaussian.data()[i] = static_cast<float>(rng.gaussian());
+
+    for (const Matrix &x : {gaussian, observationShapedInput()}) {
+        Mlp mlp({x.cols(), 8, 3}, rng, /*activate_last=*/false);
+        auto loss = [&] {
+            Matrix y = mlp.forward(x);
+            float s = 0.0f;
+            for (std::size_t i = 0; i < y.size(); ++i)
+                s += y.data()[i] * y.data()[i];
+            return 0.5f * s;
+        };
+
+        mlp.zeroGrad();
+        Matrix y = mlp.forward(x);
+        mlp.backward(y);  // dL/dy = y for the squared loss
+
+        auto blocks = mlp.paramBlocks();
+        const int checked = expectGradsMatchFiniteDifferences(
+            blocks, loss, 7, 1e-2f, 2e-2, 0.05);
+        EXPECT_GT(checked, 10);
+    }
+}
+
+/**
+ * The loss the actor-critic's backward is checked against: per row,
+ * -log p(a) - 0.1 H + 0.5 (v - ret)^2 under the (masked when @p masks
+ * is given) softmax of the logits. Writes the analytic loss gradients
+ * w.r.t. logits and values — the same formulas PpoTrainer::update
+ * uses — when @p dlogits is non-null.
+ */
+double
+actorCriticLoss(ActorCritic &net, const Matrix &obs,
+                const std::vector<std::size_t> &actions,
+                const std::uint8_t *masks, Matrix *dlogits,
+                std::vector<float> *dvalues)
+{
+    constexpr double kEntropyCoef = 0.1;
+    const AcOutput out = net.forward(obs);
+    std::vector<double> probs, ent;
+    if (masks)
+        softmaxEntropyRowsMaskedInto(probs, ent, out.logits, masks);
+    else
+        softmaxEntropyRowsInto(probs, ent, out.logits);
+    const std::size_t na = out.logits.cols();
+    if (dlogits) {
+        dlogits->resize(obs.rows(), na);
+        dvalues->assign(obs.rows(), 0.0f);
+    }
+    double loss = 0.0;
+    for (std::size_t r = 0; r < obs.rows(); ++r) {
+        const double *p = probs.data() + r * na;
+        const double ret = 0.25 * static_cast<double>(r) - 0.5;
+        const double verr = static_cast<double>(out.values[r]) - ret;
+        loss += -std::log(p[actions[r]]) - kEntropyCoef * ent[r] +
+                0.5 * verr * verr;
+        if (!dlogits)
+            continue;
+        for (std::size_t k = 0; k < na; ++k) {
+            const double ind = k == actions[r] ? 1.0 : 0.0;
+            const double g =
+                (p[k] - ind) +
+                kEntropyCoef * p[k] *
+                    (std::log(std::max(p[k], 1e-12)) + ent[r]);
+            (*dlogits)(r, k) = static_cast<float>(g);
+        }
+        (*dvalues)[r] = static_cast<float>(verr);
+    }
+    return loss;
+}
+
+/**
+ * Gradients through both heads and the torso against central
+ * differences, on an observation-shaped input, for the unmasked and
+ * the masked softmax-entropy.
+ */
+TEST(ActorCritic, GradientsMatchFiniteDifferences)
+{
+    const Matrix obs = observationShapedInput();
+    const std::vector<std::size_t> actions{1, 4, 0, 2};
+    // Each row masks out two actions, never its own.
+    std::vector<std::uint8_t> masks(obs.rows() * 5, 1);
+    for (std::size_t r = 0; r < obs.rows(); ++r) {
+        masks[r * 5 + (actions[r] + 1) % 5] = 0;
+        masks[r * 5 + (actions[r] + 3) % 5] = 0;
+    }
+
+    const std::uint8_t *const variants[] = {nullptr, masks.data()};
+    for (const std::uint8_t *mask : variants) {
+        Rng rng(12);
+        ActorCritic net(obs.cols(), 5, 16, 2, rng);
+        std::vector<ParamBlock> blocks = net.paramBlocks();
+        // Torso W0, b0, W1, b1, then the policy head's weights: scale
+        // them up from the near-uniform init so the softmax terms
+        // carry weight in the loss.
+        ASSERT_EQ(blocks.size(), 8u);
+        for (std::size_t i = 0; i < blocks[4].size; ++i)
+            blocks[4].params[i] *= 100.0f;
+
+        Matrix dlogits;
+        std::vector<float> dvalues;
+        actorCriticLoss(net, obs, actions, mask, &dlogits, &dvalues);
+        net.zeroGrad();
+        net.backward(dlogits, dvalues);
+
+        const auto loss = [&] {
+            return actorCriticLoss(net, obs, actions, mask, nullptr,
+                                   nullptr);
+        };
+        const int checked = expectGradsMatchFiniteDifferences(
+            blocks, loss, 3, 1e-3f, 5e-3, 0.02);
+        EXPECT_GT(checked, 200) << (mask ? "masked" : "unmasked");
+    }
+}
+
+/**
+ * Refill @p g (in place: ParamBlocks point into it) with exact zeros,
+ * values near the float denormal range, ±1e3 outliers and ordinary
+ * magnitudes.
+ */
+void
+fillMixedGradients(std::vector<float> &g, Rng &rng)
+{
+    for (std::size_t i = 0; i < g.size(); ++i) {
+        switch (rng.uniformInt(4)) {
+        case 0: g[i] = 0.0f; break;
+        case 1: g[i] = static_cast<float>(rng.gaussian() * 1e-30); break;
+        case 2: g[i] = rng.uniformInt(2) ? 1e3f : -1e3f; break;
+        default: g[i] = static_cast<float>(rng.gaussian()); break;
+        }
+    }
 }
 
 TEST(Nn, ReluBackwardMasksNegativePreactivations)
@@ -203,6 +349,73 @@ TEST(Nn, ClipGradNormScalesDown)
     EXPECT_NEAR(g[0] / g[1], 0.75, 1e-5);
 }
 
+/**
+ * clipGradNorm against its scalar definition, bit for bit: the norm is
+ * a sequential double sum of g^2 over every block in order, and a norm
+ * above max_norm scales every gradient by the float max_norm / norm. A
+ * norm exactly at max_norm and an all-zero gradient are left alone.
+ */
+TEST(Nn, ClipGradNormMatchesScalarReferenceBitwise)
+{
+    const auto reference = [](std::vector<std::vector<float>> g,
+                              double max_norm) {
+        double total = 0.0;
+        for (const auto &blk : g)
+            for (float v : blk)
+                total += static_cast<double>(v) * static_cast<double>(v);
+        const double norm = std::sqrt(total);
+        if (norm > max_norm && norm > 0.0) {
+            const float scale = static_cast<float>(max_norm / norm);
+            for (auto &blk : g)
+                for (float &v : blk)
+                    v *= scale;
+        }
+        return g;
+    };
+    const auto clipped = [](std::vector<std::vector<float>> g,
+                            double max_norm) {
+        std::vector<float> params(64, 0.0f);
+        std::vector<ParamBlock> blocks;
+        for (auto &blk : g)
+            blocks.push_back({params.data(), blk.data(), blk.size()});
+        clipGradNorm(blocks, max_norm);
+        return g;
+    };
+
+    Rng rng(43);
+    std::vector<std::vector<float>> mixed;
+    for (std::size_t n : {1, 5, 8, 13, 40}) {
+        std::vector<float> g(n);
+        fillMixedGradients(g, rng);
+        mixed.push_back(g);
+    }
+    const std::vector<std::vector<float>> at_max{{3.0f}, {}, {4.0f, 0.0f}};
+    const std::vector<std::vector<float>> zero{{0.0f, 0.0f}, {0.0f}};
+
+    const struct
+    {
+        const char *what;
+        const std::vector<std::vector<float>> &grads;
+        double maxNorm;
+    } cases[] = {
+        {"mixed, clipped", mixed, 0.5},
+        {"mixed, below max_norm", mixed, 1e9},
+        {"norm exactly max_norm", at_max, 5.0},
+        {"norm just above max_norm", at_max, 4.999},
+        {"all-zero gradient", zero, 0.5},
+    };
+    for (const auto &c : cases) {
+        const auto want = reference(c.grads, c.maxNorm);
+        const auto got = clipped(c.grads, c.maxNorm);
+        for (std::size_t b = 0; b < want.size(); ++b)
+            EXPECT_EQ(0, std::memcmp(got[b].data(), want[b].data(),
+                                     want[b].size() * sizeof(float)))
+                << c.what << ", block " << b;
+    }
+    EXPECT_EQ(reference(at_max, 5.0), at_max);
+    EXPECT_EQ(reference(zero, 0.5), zero);
+}
+
 TEST(Adam, MinimizesQuadratic)
 {
     std::vector<float> p{5.0f, -3.0f};
@@ -216,24 +429,6 @@ TEST(Adam, MinimizesQuadratic)
     }
     EXPECT_NEAR(p[0], 0.0, 1e-2);
     EXPECT_NEAR(p[1], 0.0, 1e-2);
-}
-
-/**
- * Refill @p g (in place: ParamBlocks point into it) with exact zeros,
- * values near the float denormal range, ±1e3 outliers and ordinary
- * magnitudes.
- */
-void
-fillMixedGradients(std::vector<float> &g, Rng &rng)
-{
-    for (std::size_t i = 0; i < g.size(); ++i) {
-        switch (rng.uniformInt(4)) {
-        case 0: g[i] = 0.0f; break;
-        case 1: g[i] = static_cast<float>(rng.gaussian() * 1e-30); break;
-        case 2: g[i] = rng.uniformInt(2) ? 1e3f : -1e3f; break;
-        default: g[i] = static_cast<float>(rng.gaussian()); break;
-        }
-    }
 }
 
 /**
