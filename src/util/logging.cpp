@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <iostream>
+#include <string>
 
 namespace autocat {
 
@@ -46,7 +47,14 @@ Log::write(LogLevel level, const std::string &msg)
 {
     if (!enabled(level) || level == LogLevel::Off)
         return;
-    std::cerr << "[autocat " << levelName(level) << "] " << msg << '\n';
+    // One write per line: std::cerr is unbuffered, so piecewise output
+    // from processes sharing a stderr would interleave mid-line.
+    std::string line = "[autocat ";
+    line += levelName(level);
+    line += "] ";
+    line += msg;
+    line += '\n';
+    std::cerr.write(line.data(), static_cast<std::streamsize>(line.size()));
 }
 
 } // namespace autocat

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the util substrate: RNG, statistics, bit helpers,
- * and table rendering.
+ * table rendering, and logging.
  */
 
 #include <gtest/gtest.h>
@@ -10,8 +10,14 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "util/bits.hpp"
+#include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -312,6 +318,73 @@ TEST(TextTable, NumberFormatting)
 {
     EXPECT_EQ(TextTable::fmt(1.23456, 2), "1.23");
     EXPECT_EQ(TextTable::fmt(42L), "42");
+}
+
+/**
+ * Processes sharing one stderr (runner_daemon children of a sweep
+ * driver) must not interleave inside a line: each log line reaches the
+ * stream whole. Two children log 500 lines each into one pipe; every
+ * line read back must be one child's line, complete, in that child's
+ * order.
+ */
+TEST(Log, LinesFromProcessesSharingStderrStayWhole)
+{
+    constexpr int kChildren = 2;
+    constexpr int kLines = 500;
+    int fds[2];
+    ASSERT_EQ(0, pipe(fds));
+    std::vector<pid_t> pids;
+    for (int c = 0; c < kChildren; ++c) {
+        const pid_t pid = fork();
+        ASSERT_GE(pid, 0);
+        if (pid == 0) {
+            close(fds[0]);
+            dup2(fds[1], STDERR_FILENO);
+            close(fds[1]);
+            Log::setLevel(LogLevel::Info);
+            for (int i = 0; i < kLines; ++i)
+                AUTOCAT_LOG_INFO << "child " << c << " line " << i
+                                 << " payload";
+            _exit(0);
+        }
+        pids.push_back(pid);
+    }
+    close(fds[1]);
+    std::string out;
+    char buf[4096];
+    ssize_t got;
+    while ((got = read(fds[0], buf, sizeof buf)) > 0)
+        out.append(buf, static_cast<std::size_t>(got));
+    close(fds[0]);
+    for (pid_t pid : pids) {
+        int status = 0;
+        ASSERT_EQ(pid, waitpid(pid, &status, 0));
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    }
+
+    int last[kChildren] = {-1, -1};
+    int whole_lines[kChildren] = {};
+    std::istringstream lines(out);
+    std::string line;
+    int bad = 0;
+    while (std::getline(lines, line)) {
+        int c = -1, i = -1;
+        const bool whole =
+            std::sscanf(line.c_str(), "[autocat INFO ] child %d line %d",
+                        &c, &i) == 2 &&
+            c >= 0 && c < kChildren &&
+            line == "[autocat INFO ] child " + std::to_string(c) +
+                        " line " + std::to_string(i) + " payload";
+        if (whole && i > last[c]) {
+            last[c] = i;
+            ++whole_lines[c];
+        } else if (++bad <= 3) {
+            ADD_FAILURE() << "torn or out-of-order line: \"" << line << "\"";
+        }
+    }
+    EXPECT_EQ(bad, 0);
+    for (int c = 0; c < kChildren; ++c)
+        EXPECT_EQ(whole_lines[c], kLines) << "child " << c;
 }
 
 } // namespace
