@@ -86,6 +86,63 @@ dotGemmPortable(float *c, const float *a, const float *b, std::size_t m,
     }
 }
 
+/** dotGemmPortable over the nonzeros of each row of A only. */
+void
+sparseDotGemmPortable(float *c, const SparseRows &a, const float *b,
+                      std::size_t n, const float *bias, bool relu)
+{
+    const std::size_t k = a.cols;
+    for (std::size_t i = 0; i < a.rows; ++i) {
+        float *crow = c + i * n;
+        for (std::size_t j = 0; j < n; ++j) {
+            const float *brow = b + j * k;
+            float acc = 0.0f;
+            for (std::uint32_t e = a.rowStart[i]; e < a.rowStart[i + 1]; ++e)
+                acc += a.rowVal[e] * brow[a.rowCol[e]];
+            if (bias)
+                acc += bias[j];
+            if (relu && acc < 0.0f)
+                acc = 0.0f;
+            crow[j] = acc;
+        }
+    }
+}
+
+/** matmulTransAPortable over the nonzeros of B only (A: k x m). */
+void
+sparseMatmulTransAPortable(float *c, const float *a, std::size_t m,
+                           const SparseRows &b)
+{
+    const std::size_t n = b.cols;
+    std::fill(c, c + m * n, 0.0f);
+    for (std::size_t p = 0; p < n; ++p) {
+        for (std::uint32_t e = b.colStart[p]; e < b.colStart[p + 1]; ++e) {
+            const float *arow = a + static_cast<std::size_t>(b.colRow[e]) * m;
+            const float v = b.colVal[e];
+            for (std::size_t j = 0; j < m; ++j)
+                c[j * n + p] += arow[j] * v;
+        }
+    }
+}
+
+/**
+ * Writes the nonzeros of x[begin, end) to @p col / @p val (room for
+ * end - begin entries) without a branch per element; returns their
+ * count.
+ */
+std::size_t
+scanRowPortable(const float *x, std::size_t begin, std::size_t end,
+                std::uint32_t *col, float *val)
+{
+    std::size_t n = 0;
+    for (std::size_t p = begin; p < end; ++p) {
+        col[n] = static_cast<std::uint32_t>(p);
+        val[n] = x[p];
+        n += x[p] != 0.0f;
+    }
+    return n;
+}
+
 #if AUTOCAT_MAT_X86
 
 /*
@@ -427,6 +484,154 @@ matmulTransAAvx2(float *c, const float *a, const float *b, std::size_t k,
     gemmAvx2(c, a, 1, m, b, m, k, n, 0);
 }
 
+/** scanRowPortable, eight floats per compare. */
+__attribute__((target("avx2,fma"))) std::size_t
+scanRowAvx2(const float *x, std::size_t cols, std::uint32_t *col, float *val)
+{
+    std::size_t n = 0, p = 0;
+    for (; p + 8 <= cols; p += 8) {
+        // Unordered: a NaN counts as nonzero, as in the scalar test.
+        unsigned bits = static_cast<unsigned>(_mm256_movemask_ps(
+            _mm256_cmp_ps(_mm256_loadu_ps(x + p), _mm256_setzero_ps(),
+                          _CMP_NEQ_UQ)));
+        for (; bits != 0; bits &= bits - 1) {
+            const std::size_t q = p + static_cast<unsigned>(__builtin_ctz(bits));
+            col[n] = static_cast<std::uint32_t>(q);
+            val[n++] = x[q];
+        }
+    }
+    return n + scanRowPortable(x, p, cols, col + n, val + n);
+}
+
+/**
+ * linearForward on a sparse A in dot8 order (C = A * B^T, B: n x k).
+ * Row i's nonzeros at p < k / 8 * 8 are fused into the running sum of
+ * slot p % 16 (slots 0-7 are the dense kernel's first accumulator,
+ * 8-15 its second); the slots are then reduced as in hsum8, the k % 8
+ * tail nonzeros added in tail order, then bias and ReLU. Vectorized
+ * over 8 outputs at a time against B^T, transposed once per call.
+ */
+__attribute__((target("avx2,fma"))) void
+sparseDotGemmAvx2(float *c, const SparseRows &a, const float *b,
+                  std::size_t n, const float *bias, bool relu)
+{
+    const std::size_t k = a.cols;
+    const std::size_t np = (n + 7) / 8 * 8;
+    // B^T padded to np columns, the padded bias, 16 slot rows and a
+    // zero row standing in for the slots a row never touches.
+    thread_local std::vector<float> bt, pbias, slots, zeros;
+    bt.assign(k * np, 0.0f);
+    for (std::size_t j = 0; j < n; ++j)
+        for (std::size_t p = 0; p < k; ++p)
+            bt[p * np + j] = b[j * k + p];
+    pbias.assign(np, -0.0f);
+    if (bias)
+        std::copy(bias, bias + n, pbias.begin());
+    slots.resize(16 * np);
+    zeros.assign(np, 0.0f);
+
+    const std::size_t k8 = k / 8 * 8;
+    const std::size_t rounded_end = k8 + (k - k8) / 4 * 4;
+    const __m256 zero = _mm256_setzero_ps();
+    for (std::size_t i = 0; i < a.rows; ++i) {
+        std::uint32_t e = a.rowStart[i];
+        const std::uint32_t end = a.rowStart[i + 1];
+        const float *slot[16];
+        for (std::size_t l = 0; l < 16; ++l)
+            slot[l] = zeros.data();
+        for (; e < end && a.rowCol[e] < k8; ++e) {
+            const std::size_t p = a.rowCol[e];
+            const __m256 v = _mm256_set1_ps(a.rowVal[e]);
+            const float *w = bt.data() + p * np;
+            float *acc = slots.data() + (p % 16) * np;
+            const float *in = slot[p % 16];  // zeros until first touched
+            for (std::size_t q = 0; q < np; q += 8)
+                _mm256_storeu_ps(acc + q,
+                                 _mm256_fmadd_ps(v, _mm256_loadu_ps(w + q),
+                                                 _mm256_loadu_ps(in + q)));
+            slot[p % 16] = acc;
+        }
+        const std::uint32_t tail = e;
+        float *crow = c + i * n;
+        for (std::size_t q = 0; q < np; q += 8) {
+            __m256 sum[8];
+            for (std::size_t l = 0; l < 8; ++l)
+                sum[l] = _mm256_add_ps(_mm256_loadu_ps(slot[l] + q),
+                                       _mm256_loadu_ps(slot[l + 8] + q));
+            for (std::size_t l = 0; l < 4; ++l)  // (l, l+4)
+                sum[l] = _mm256_add_ps(sum[l], sum[l + 4]);
+            for (std::size_t l = 0; l < 2; ++l)  // (l, l+2)
+                sum[l] = _mm256_add_ps(sum[l], sum[l + 2]);
+            __m256 r = _mm256_add_ps(sum[0], sum[1]);  // (0, 1)
+            for (e = tail; e < end; ++e) {
+                const std::size_t p = a.rowCol[e];
+                const __m256 v = _mm256_set1_ps(a.rowVal[e]);
+                const __m256 w = _mm256_loadu_ps(bt.data() + p * np + q);
+                r = p < rounded_end
+                        ? _mm256_add_ps(r, rounded(_mm256_mul_ps(v, w)))
+                        : _mm256_fmadd_ps(v, w, r);
+            }
+            r = _mm256_add_ps(r, _mm256_loadu_ps(pbias.data() + q));
+            if (relu)
+                r = _mm256_andnot_ps(_mm256_cmp_ps(r, zero, _CMP_LT_OQ), r);
+            if (q + 8 <= n)
+                _mm256_storeu_ps(crow + q, r);
+            else
+                _mm256_maskstore_ps(crow + q, laneMask(n - q), r);
+        }
+    }
+}
+
+/**
+ * Column p's outputs j in [j0, j0 + 8 NV) of C = A^T * B for a sparse
+ * B: one fma chain per output over the column's nonzero rows, in row
+ * order — matmulTransAAvx2's chain without its zero terms.
+ */
+template <int NV>
+__attribute__((target("avx2,fma"))) inline void
+sparseDwBlock(float *c, const float *a, std::size_t m, const SparseRows &b,
+              std::size_t p, std::size_t j0)
+{
+    __m256 acc[NV];
+    for (int q = 0; q < NV; ++q)
+        acc[q] = _mm256_setzero_ps();
+    for (std::uint32_t e = b.colStart[p]; e < b.colStart[p + 1]; ++e) {
+        const float *arow = a + static_cast<std::size_t>(b.colRow[e]) * m + j0;
+        const __m256 v = _mm256_set1_ps(b.colVal[e]);
+        for (int q = 0; q < NV; ++q)
+            acc[q] = _mm256_fmadd_ps(_mm256_loadu_ps(arow + 8 * q), v, acc[q]);
+    }
+    float out[8 * NV];
+    for (int q = 0; q < NV; ++q)
+        _mm256_storeu_ps(out + 8 * q, acc[q]);
+    for (std::size_t q = 0; q < 8 * NV; ++q)
+        c[(j0 + q) * b.cols + p] = out[q];
+}
+
+/** C = A^T * B for a sparse B (A: k x m), written column by column. */
+__attribute__((target("avx2,fma"))) void
+sparseMatmulTransAAvx2(float *c, const float *a, std::size_t m,
+                       const SparseRows &b)
+{
+    const std::size_t n = b.cols;
+    std::fill(c, c + m * n, 0.0f);
+    for (std::size_t p = 0; p < n; ++p) {
+        if (b.colStart[p] == b.colStart[p + 1])
+            continue;
+        std::size_t j = 0;
+        for (; j + 64 <= m; j += 64)
+            sparseDwBlock<8>(c, a, m, b, p, j);
+        for (; j + 8 <= m; j += 8)
+            sparseDwBlock<1>(c, a, m, b, p, j);
+        for (; j < m; ++j) {
+            float s = 0.0f;
+            for (std::uint32_t e = b.colStart[p]; e < b.colStart[p + 1]; ++e)
+                s = std::fma(a[b.colRow[e] * m + j], b.colVal[e], s);
+            c[j * n + p] = s;
+        }
+    }
+}
+
 #endif // AUTOCAT_MAT_X86
 
 } // namespace
@@ -523,6 +728,93 @@ linearForwardInto(Matrix &y, const Matrix &x, const Matrix &w,
 #endif
     dotGemmPortable(y.data(), x.data(), w.data(), x.rows(), w.rows(),
                     x.cols(), bias.data(), relu);
+}
+
+void
+sparseRowsInto(SparseRows &s, const Matrix &x)
+{
+    const std::size_t rows = x.rows();
+    const std::size_t cols = x.cols();
+    assert(rows * cols <= UINT32_MAX);
+    s.rows = rows;
+    s.cols = cols;
+    s.rowStart.resize(rows + 1);
+    std::size_t nnz = 0;
+    for (std::size_t r = 0; r < rows; ++r) {
+        s.rowStart[r] = static_cast<std::uint32_t>(nnz);
+        // Room for a dense row; the capacity settles near nnz + cols.
+        if (s.rowCol.size() < nnz + cols) {
+            s.rowCol.resize(std::max(nnz + cols, 2 * s.rowCol.size()));
+            s.rowVal.resize(s.rowCol.size());
+        }
+        std::uint32_t *col = s.rowCol.data() + nnz;
+        float *val = s.rowVal.data() + nnz;
+#if AUTOCAT_MAT_X86
+        if (useAvx2()) {
+            nnz += scanRowAvx2(x.rowPtr(r), cols, col, val);
+            continue;
+        }
+#endif
+        nnz += scanRowPortable(x.rowPtr(r), 0, cols, col, val);
+    }
+    s.rowStart[rows] = static_cast<std::uint32_t>(nnz);
+    s.rowCol.resize(nnz);
+    s.rowVal.resize(nnz);
+
+    // Column view by counting sort: colStart[c + 1] counts column c,
+    // prefix sums make colStart[c] its first slot, filling advances it
+    // to the next column's start, and one shift puts it back.
+    s.colStart.assign(cols + 1, 0);
+    for (std::size_t e = 0; e < nnz; ++e)
+        ++s.colStart[s.rowCol[e] + 1];
+    for (std::size_t c = 0; c < cols; ++c)
+        s.colStart[c + 1] += s.colStart[c];
+    s.colRow.resize(nnz);
+    s.colVal.resize(nnz);
+    for (std::size_t r = 0; r < rows; ++r) {
+        for (std::uint32_t e = s.rowStart[r]; e < s.rowStart[r + 1]; ++e) {
+            const std::uint32_t slot = s.colStart[s.rowCol[e]]++;
+            s.colRow[slot] = static_cast<std::uint32_t>(r);
+            s.colVal[slot] = s.rowVal[e];
+        }
+    }
+    for (std::size_t c = cols; c > 0; --c)
+        s.colStart[c] = s.colStart[c - 1];
+    s.colStart[0] = 0;
+}
+
+void
+sparseLinearForwardInto(Matrix &y, const SparseRows &x, const Matrix &w,
+                        const std::vector<float> &bias, bool relu)
+{
+    assert(x.cols == w.cols());
+    assert(bias.size() == w.rows());
+    assert(&y != &w);
+    y.resizeUninit(x.rows, w.rows());
+#if AUTOCAT_MAT_X86
+    if (useAvx2()) {
+        sparseDotGemmAvx2(y.data(), x, w.data(), w.rows(), bias.data(),
+                          relu);
+        return;
+    }
+#endif
+    sparseDotGemmPortable(y.data(), x, w.data(), w.rows(), bias.data(),
+                          relu);
+}
+
+void
+sparseMatmulTransAInto(Matrix &c, const Matrix &a, const SparseRows &b)
+{
+    assert(a.rows() == b.rows);
+    assert(&c != &a);
+    c.resizeUninit(a.cols(), b.cols);
+#if AUTOCAT_MAT_X86
+    if (useAvx2()) {
+        sparseMatmulTransAAvx2(c.data(), a.data(), a.cols(), b);
+        return;
+    }
+#endif
+    sparseMatmulTransAPortable(c.data(), a.data(), a.cols(), b);
 }
 
 Matrix

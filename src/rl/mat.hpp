@@ -159,6 +159,65 @@ void matmulTransAInto(Matrix &c, const Matrix &a, const Matrix &b);
 void linearForwardInto(Matrix &y, const Matrix &x, const Matrix &w,
                        const std::vector<float> &bias, bool relu);
 
+/**
+ * The nonzeros of a dense matrix, indexed by row (CSR) and by column
+ * (CSC). A -0.0f entry counts as zero, a NaN as nonzero. Storage grows
+ * with the nonzero count, not with rows x cols, and is reused across
+ * sparseRowsInto() calls.
+ */
+struct SparseRows
+{
+    std::size_t rows = 0;
+    std::size_t cols = 0;
+    /** Row r's nonzeros are [rowStart[r], rowStart[r + 1]) of rowCol /
+     *  rowVal, in ascending column order. */
+    std::vector<std::uint32_t> rowStart;
+    std::vector<std::uint32_t> rowCol;
+    std::vector<float> rowVal;
+    /** Column c's nonzeros are [colStart[c], colStart[c + 1]) of
+     *  colRow / colVal, in ascending row order. */
+    std::vector<std::uint32_t> colStart;
+    std::vector<std::uint32_t> colRow;
+    std::vector<float> colVal;
+
+    std::size_t nnz() const { return rowCol.size(); }
+};
+
+/** Index the nonzeros of @p x into @p s (one pass over x). */
+void sparseRowsInto(SparseRows &s, const Matrix &x);
+
+/*
+ * Sparse-input variants of linearForwardInto and matmulTransAInto for
+ * a layer whose input is mostly zeros (the observation). Each output
+ * is bit for bit the dense kernel's on the same matrix, for finite
+ * operands: a skipped term would add fma(0, w, acc) == acc, since every
+ * accumulator starts at +0 and never becomes -0 (a product that
+ * underflows to -0 is the one way it could). The nonzero terms keep
+ * the dense kernel's order.
+ */
+
+/**
+ * linearForwardInto(y, x, w, bias, relu) reading only x's nonzeros.
+ *
+ *  Pre:  x.cols == w.cols(), bias.size() == w.rows().
+ *  Post: y is x.rows x w.rows(), fully overwritten, bitwise equal to
+ *        the dense kernel's result on the dense x.
+ */
+void sparseLinearForwardInto(Matrix &y, const SparseRows &x,
+                             const Matrix &w,
+                             const std::vector<float> &bias, bool relu);
+
+/**
+ * C = A^T * B for a sparse B: matmulTransAInto(c, a, dense b) reading
+ * only b's nonzeros, column by column. A: k x m, B: k x n.
+ *
+ *  Pre:  a.rows() == b.rows; @p c must not alias @p a.
+ *  Post: c is m x n, fully overwritten, bitwise equal to the dense
+ *        kernel's result.
+ */
+void sparseMatmulTransAInto(Matrix &c, const Matrix &a,
+                            const SparseRows &b);
+
 /** C = A * B. A: m x k, B: k x n. */
 Matrix matmul(const Matrix &a, const Matrix &b);
 

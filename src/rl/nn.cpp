@@ -34,6 +34,13 @@ Linear::forwardInto(Matrix &y, const Matrix &x, bool fuse_relu) const
 }
 
 void
+Linear::forwardInto(Matrix &y, const SparseRows &x, bool fuse_relu) const
+{
+    assert(x.cols == in_);
+    sparseLinearForwardInto(y, x, w_, b_, fuse_relu);
+}
+
+void
 Linear::accumulateGrads(const Matrix &grad_out, const Matrix &input)
 {
     assert(grad_out.cols() == out_);
@@ -42,6 +49,23 @@ Linear::accumulateGrads(const Matrix &grad_out, const Matrix &input)
 
     // dW += grad_out^T * x ; db += colsum(grad_out)
     matmulTransAInto(gw_scratch_, grad_out, input);
+    addGrads(grad_out);
+}
+
+void
+Linear::accumulateGrads(const Matrix &grad_out, const SparseRows &input)
+{
+    assert(grad_out.cols() == out_);
+    assert(grad_out.rows() == input.rows);
+    assert(input.cols == in_);
+
+    sparseMatmulTransAInto(gw_scratch_, grad_out, input);
+    addGrads(grad_out);
+}
+
+void
+Linear::addGrads(const Matrix &grad_out)
+{
     for (std::size_t i = 0; i < gw_.size(); ++i)
         gw_.data()[i] += gw_scratch_.data()[i];
     const std::vector<float> gb = colSum(grad_out);
@@ -79,16 +103,19 @@ Mlp::Mlp(const std::vector<std::size_t> &sizes, Rng &rng, bool activate_last)
     layers_.reserve(sizes.size() - 1);
     for (std::size_t i = 0; i + 1 < sizes.size(); ++i)
         layers_.emplace_back(sizes[i], sizes[i + 1], rng);
-    acts_.resize(layers_.size() + 1);
+    acts_.resize(layers_.size());
 }
 
 const Matrix &
 Mlp::forwardCached(const Matrix &x)
 {
-    acts_[0] = x;
+    sparseRowsInto(input_, x);
     for (std::size_t i = 0; i < layers_.size(); ++i) {
         const bool activate = i + 1 < layers_.size() || activate_last_;
-        layers_[i].forwardInto(acts_[i + 1], acts_[i], activate);
+        if (i == 0)
+            layers_[0].forwardInto(acts_[0], input_, activate);
+        else
+            layers_[i].forwardInto(acts_[i], acts_[i - 1], activate);
     }
     return acts_.back();
 }
@@ -121,11 +148,11 @@ Mlp::backward(const Matrix &grad_out)
         // Post-activation mask: ReLU output is 0 exactly where the
         // pre-activation was <= 0, so acts_ doubles as the mask.
         if (activated)
-            reluBackwardInPlace(g, acts_[i + 1]);
+            reluBackwardInPlace(g, acts_[i]);
         if (i == 0)
-            layers_[0].accumulateGrads(g, acts_[0]);
+            layers_[0].accumulateGrads(g, input_);
         else
-            g = layers_[i].backward(g, acts_[i]);
+            g = layers_[i].backward(g, acts_[i - 1]);
     }
 }
 

@@ -7,8 +7,10 @@
  * is an allocation-free inference path that fuses bias and ReLU into
  * the GEMM (rl/mat.hpp) and caches nothing. An Mlp stacks Linear+ReLU
  * and keeps the per-layer activations from its last training forward
- * so backward() can run without per-layer input copies. Parameters and
- * gradients are exposed as flat blocks for the Adam optimizer.
+ * so backward() can run without per-layer input copies. Its input
+ * layer trains on the input's nonzeros only: the observation is mostly
+ * zeros. Parameters and gradients are exposed as flat blocks for the
+ * Adam optimizer.
  */
 
 #ifndef AUTOCAT_RL_NN_HPP
@@ -58,6 +60,12 @@ class Linear
     void forwardInto(Matrix &y, const Matrix &x, bool fuse_relu) const;
 
     /**
+     * forwardInto() on the nonzeros of an input (rl/mat.hpp,
+     * sparseLinearForwardInto): bitwise the same output.
+     */
+    void forwardInto(Matrix &y, const SparseRows &x, bool fuse_relu) const;
+
+    /**
      * Accumulates weight/bias gradients from @p grad_out (B x out)
      * against the explicitly supplied forward @p input (the exact
      * matrix the producing forward consumed; B x in). Callers store
@@ -65,6 +73,10 @@ class Linear
      * nothing.
      */
     void accumulateGrads(const Matrix &grad_out, const Matrix &input);
+
+    /** accumulateGrads() against the nonzeros of the forward input;
+     *  bitwise the same gradients. */
+    void accumulateGrads(const Matrix &grad_out, const SparseRows &input);
 
     /**
      * Backward pass: accumulateGrads(), then returns the input
@@ -86,6 +98,9 @@ class Linear
     std::vector<float> &bias() { return b_; }
 
   private:
+    /** gw_ += gw_scratch_ (this pass's dW); gb_ += colsum(grad_out). */
+    void addGrads(const Matrix &grad_out);
+
     std::size_t in_;
     std::size_t out_;
     Matrix w_;   ///< out x in
@@ -107,7 +122,11 @@ class Mlp
     Mlp(const std::vector<std::size_t> &sizes, Rng &rng,
         bool activate_last = true);
 
-    /** Batch forward with activation caching (training path). */
+    /**
+     * Batch forward with activation caching (training path). The first
+     * layer reads only the nonzeros of @p x, indexed once here and kept
+     * for backward(); the output is bitwise the dense forward's.
+     */
     Matrix forward(const Matrix &x);
 
     /**
@@ -142,11 +161,13 @@ class Mlp
 
   private:
     std::vector<Linear> layers_;
+    /** The nonzeros of the last training forward's input. */
+    SparseRows input_;
     /**
-     * acts_[0] is the forward input, acts_[i + 1] layer i's output
-     * (post-activation where one applies). For activated layers the
-     * ReLU mask is recovered from the activation itself (act == 0 ⇔
-     * pre-activation <= 0), so pre-activations need not be stored.
+     * acts_[i] is layer i's output (post-activation where one applies).
+     * For activated layers the ReLU mask is recovered from the
+     * activation itself (act == 0 ⇔ pre-activation <= 0), so
+     * pre-activations need not be stored.
      */
     std::vector<Matrix> acts_;
     bool activate_last_;

@@ -10,7 +10,9 @@
  * The bitwise oracle below goes further than a tolerance: a scalar
  * std::fma reference written in each AVX2 kernel's canonical
  * per-element accumulation order must match the kernel bit for bit,
- * so a kernel rewrite that reorders a single sum fails here.
+ * so a kernel rewrite that reorders a single sum fails here. The
+ * sparse-input kernels are held to their dense counterparts the same
+ * way, on both backends.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +22,8 @@
 #include <string>
 #include <vector>
 
+#include "core/config_parser.hpp"
+#include "env/env_registry.hpp"
 #include "rl/actor_critic.hpp"
 #include "rl/mat.hpp"
 #include "util/rng.hpp"
@@ -453,6 +457,192 @@ TEST(MatKernelsOracle, LinearForwardIsBitwiseDot8)
             linearForwardInto(y, x, w, bias, relu);
             expectBitwise(y, fmaDotGemm(x, w, bias.data(), relu), s,
                           relu ? "linearForward+relu" : "linearForward");
+        }
+    }
+}
+
+// ------------------------------------------------ sparse input layer --
+
+/**
+ * A mostly-zero m x k input cycling row kinds from @p kind0: all-zero,
+ * fully dense, one-hot-like with a fractional feature and -0.0
+ * entries, a nonzero in one p % 16 slot per 16 columns (rows cover
+ * every slot), and a random k % 8 tail half the time (so both sides
+ * of its rounded/fused boundary).
+ */
+Matrix
+sparseInput(std::size_t m, std::size_t k, std::size_t kind0, Rng &rng)
+{
+    Matrix x(m, k);
+    const std::size_t k8 = k / 8 * 8;
+    for (std::size_t i = 0; i < m; ++i) {
+        float *row = x.rowPtr(i);
+        switch ((i + kind0) % 5) {
+        case 0: break;
+        case 1:
+            for (std::size_t p = 0; p < k; ++p)
+                row[p] = static_cast<float>(rng.gaussian());
+            break;
+        case 2:
+            for (std::size_t p = 0; p < k; ++p)
+                row[p] = rng.uniformInt(10) == 0 ? 1.0f : -0.0f;
+            row[rng.uniformInt(k)] = 0.375f;
+            break;
+        case 3:
+            for (std::size_t p = i % 16; p < k; p += 16)
+                row[p] = static_cast<float>(rng.gaussian());
+            break;
+        default:
+            for (std::size_t p = 0; p < k; ++p)
+                row[p] = rng.uniformInt(8) == 0
+                             ? static_cast<float>(rng.gaussian())
+                             : 0.0f;
+            break;
+        }
+        for (std::size_t p = k8; p < k; ++p)
+            if (rng.uniformInt(2) == 0)
+                row[p] = static_cast<float>(rng.gaussian());
+    }
+    return x;
+}
+
+/**
+ * @p rows observations a seeded uniform-random policy meets in a
+ * time-to-discovery cell's environment: the 251-wide Table V guessing
+ * game (@p tlb false) or the 137-wide 2-way TLB prime+probe.
+ */
+Matrix
+rolloutObservations(bool tlb, std::size_t rows)
+{
+    const char *const guessing = R"(
+scenario = guessing_game
+num_sets = 1
+num_ways = 4
+attack_addr_s = 0
+attack_addr_e = 4
+victim_addr_s = 0
+victim_addr_e = 0
+victim_no_access_enable = true
+window_size = 16
+)";
+    const char *const tlb_evict = R"(
+scenario = tlb_evict
+tlb.num_sets = 1
+tlb.num_ways = 2
+tlb.walk_levels = 2
+tlb.level_bits = 2
+attack_addr_s = 0
+attack_addr_e = 2
+victim_addr_s = 0
+victim_addr_e = 0
+victim_no_access_enable = true
+window_size = 10
+)";
+    const ExplorationConfig cfg =
+        parseExplorationConfig(tlb ? tlb_evict : guessing);
+    auto env = makeEnv(cfg.scenario, cfg.env);
+    Rng rng(tlb ? 51 : 52);
+    Matrix obs(rows, env->observationSize());
+    std::vector<float> o = env->reset();
+    for (std::size_t r = 0; r < rows; ++r) {
+        std::copy(o.begin(), o.end(), obs.rowPtr(r));
+        StepResult step = env->step(rng.uniformInt(env->numActions()));
+        o = step.done ? env->reset() : std::move(step.obs);
+    }
+    return obs;
+}
+
+/**
+ * The sparse forward (with and without ReLU) and the sparse dW on @p x
+ * against the dense kernels, by memcmp, at layer width @p n.
+ */
+void
+expectSparseKernelsMatchDense(const Matrix &x, std::size_t n, Rng &rng)
+{
+    const Shape s{x.rows(), x.cols(), n};
+    const Matrix w = randomMatrix(n, x.cols(), rng);
+    std::vector<float> bias(n);
+    for (auto &v : bias)
+        v = static_cast<float>(rng.gaussian());
+    SparseRows sx;
+    sparseRowsInto(sx, x);
+    for (const bool relu : {false, true}) {
+        Matrix want, got;
+        linearForwardInto(want, x, w, bias, relu);
+        sparseLinearForwardInto(got, sx, w, bias, relu);
+        expectBitwise(got, want, s,
+                      relu ? "sparseLinearForward+relu"
+                           : "sparseLinearForward");
+    }
+    // dY as the ReLU backward leaves it: a third of it exact zeros.
+    Matrix dy = randomMatrix(x.rows(), n, rng);
+    for (std::size_t i = 0; i < dy.size(); ++i)
+        if (rng.uniformInt(3) == 0)
+            dy.data()[i] = 0.0f;
+    Matrix want, got;
+    matmulTransAInto(want, dy, x);
+    sparseMatmulTransAInto(got, dy, sx);
+    expectBitwise(got, want, s, "sparseMatmulTransA");
+}
+
+TEST(MatKernelsOracle, SparseRowsIndexNonzerosByRowAndColumn)
+{
+    Matrix x(3, 10);
+    x(0, 9) = 2.0f;
+    x(0, 1) = -0.0f;  // a zero
+    x(1, 0) = std::nanf("");
+    x(1, 9) = -1.0f;
+    x(2, 4) = 0.5f;
+    SparseRows s;
+    sparseRowsInto(s, x);
+    EXPECT_EQ(s.nnz(), 4u);
+    EXPECT_EQ(s.rowStart, (std::vector<std::uint32_t>{0, 1, 3, 4}));
+    EXPECT_EQ(s.rowCol, (std::vector<std::uint32_t>{9, 0, 9, 4}));
+    EXPECT_EQ(s.rowVal[0], 2.0f);
+    EXPECT_TRUE(std::isnan(s.rowVal[1]));
+    EXPECT_EQ(s.colStart,
+              (std::vector<std::uint32_t>{0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 4}));
+    EXPECT_EQ(s.colRow, (std::vector<std::uint32_t>{1, 2, 0, 1}));
+    EXPECT_EQ(s.colVal[3], -1.0f);
+
+    // Re-indexing a sparser matrix reuses the storage and shrinks.
+    sparseRowsInto(s, Matrix(2, 10));
+    EXPECT_EQ(s.nnz(), 0u);
+    EXPECT_EQ(s.rowStart, (std::vector<std::uint32_t>{0, 0, 0}));
+}
+
+TEST(MatKernelsOracle, SparseKernelsMatchDenseOnMixedInputs)
+{
+    Rng rng(35);
+    std::size_t kind0 = 0;
+    for (const std::size_t m : {1, 100, 500})
+        for (const std::size_t k : {251, 137}) {
+            SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k));
+            expectSparseKernelsMatchDense(sparseInput(m, k, kind0++, rng),
+                                          128, rng);
+        }
+    for (const Shape &s : kOddShapes)
+        for (const std::size_t n : {s.n, std::size_t{128}}) {
+            SCOPED_TRACE("m=" + std::to_string(s.m) +
+                         " k=" + std::to_string(s.k) +
+                         " n=" + std::to_string(n));
+            expectSparseKernelsMatchDense(sparseInput(s.m, s.k, kind0++, rng),
+                                          n, rng);
+        }
+}
+
+TEST(MatKernelsOracle, SparseKernelsMatchDenseOnRolloutObservations)
+{
+    Rng rng(36);
+    for (const bool tlb : {false, true}) {
+        const Matrix obs = rolloutObservations(tlb, 500);
+        EXPECT_EQ(obs.cols(), tlb ? 137u : 251u);
+        for (const std::size_t m : {1, 100, 500}) {
+            SCOPED_TRACE(std::string(tlb ? "tlb_evict" : "guessing_game") +
+                         " m=" + std::to_string(m));
+            Matrix x(m, obs.cols());
+            std::copy(obs.data(), obs.data() + x.size(), x.data());
+            expectSparseKernelsMatchDense(x, 128, rng);
         }
     }
 }
