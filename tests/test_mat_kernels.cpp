@@ -354,7 +354,7 @@ expectBitwise(const Matrix &got, const Matrix &want, const Shape &s,
     std::size_t i = 0;
     while (std::memcmp(got.data() + i, want.data() + i, sizeof(float)) == 0)
         ++i;
-    ADD_FAILURE() << what << " differs from its fma reference at shape m="
+    ADD_FAILURE() << what << " differs from its reference at shape m="
                   << s.m << " k=" << s.k << " n=" << s.n << ", element ("
                   << i / got.cols() << ", " << i % got.cols() << "): "
                   << got.data()[i] << " vs " << want.data()[i];

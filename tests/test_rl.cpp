@@ -162,19 +162,19 @@ observationShapedInput()
 }
 
 /**
- * Central differences of @p loss against the accumulated gradients of
- * every @p stride-th parameter; returns how many were checked.
+ * Central differences of @p loss against the accumulated gradient of
+ * every parameter; returns how many were checked.
  */
 template <typename Loss>
 int
 expectGradsMatchFiniteDifferences(std::vector<ParamBlock> &blocks,
-                                  Loss loss, std::size_t stride, float eps,
+                                  Loss loss, float eps,
                                   double abs_tol, double rel_tol)
 {
     int checked = 0;
     for (std::size_t b = 0; b < blocks.size(); ++b) {
         ParamBlock &blk = blocks[b];
-        for (std::size_t i = 0; i < blk.size; i += stride) {
+        for (std::size_t i = 0; i < blk.size; ++i) {
             const float orig = blk.params[i];
             blk.params[i] = orig + eps;
             const double up = loss();
@@ -213,8 +213,8 @@ TEST(Mlp, GradientsMatchFiniteDifferences)
 
         auto blocks = mlp.paramBlocks();
         const int checked = expectGradsMatchFiniteDifferences(
-            blocks, loss, 7, 1e-2f, 2e-2, 0.05);
-        EXPECT_GT(checked, 10);
+            blocks, loss, 1e-2f, 2e-2, 0.05);
+        EXPECT_GT(checked, 60);
     }
 }
 
@@ -304,8 +304,8 @@ TEST(ActorCritic, GradientsMatchFiniteDifferences)
                                    nullptr);
         };
         const int checked = expectGradsMatchFiniteDifferences(
-            blocks, loss, 3, 1e-3f, 5e-3, 0.02);
-        EXPECT_GT(checked, 200) << (mask ? "masked" : "unmasked");
+            blocks, loss, 1e-3f, 5e-3, 0.02);
+        EXPECT_GT(checked, 700) << (mask ? "masked" : "unmasked");
     }
 }
 
@@ -408,8 +408,9 @@ TEST(Nn, ClipGradNormMatchesScalarReferenceBitwise)
         const auto want = reference(c.grads, c.maxNorm);
         const auto got = clipped(c.grads, c.maxNorm);
         for (std::size_t b = 0; b < want.size(); ++b)
-            EXPECT_EQ(0, std::memcmp(got[b].data(), want[b].data(),
-                                     want[b].size() * sizeof(float)))
+            EXPECT_TRUE(want[b].empty() ||
+                        std::memcmp(got[b].data(), want[b].data(),
+                                    want[b].size() * sizeof(float)) == 0)
                 << c.what << ", block " << b;
     }
     EXPECT_EQ(reference(at_max, 5.0), at_max);
