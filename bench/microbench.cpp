@@ -21,9 +21,9 @@
 #include <cstdlib>
 
 #include "core/autocat.hpp"
-#include "core/config_parser.hpp"
 #include "env/env_registry.hpp"
 #include "eval/sweep.hpp"
+#include "rollout_observations.hpp"
 #include "serve/net/frame.hpp"
 #include "serve/wire.hpp"
 
@@ -197,8 +197,9 @@ BENCHMARK(BM_PolicyForward)->Arg(64)->Arg(256)->Arg(1024);
 /**
  * Batched policy forward: one N x obs_dim matmul for N streams vs N
  * single-observation passes (the vectorized trainer's win over the
- * old per-env loop). Runs the training-path forward() so numbers stay
- * comparable across revisions; BM_PolicyInferenceBatch below measures
+ * old per-env loop). Runs the training-path forward(), whose input
+ * layer reads only the observation's nonzeros, on recorded 251-wide
+ * guessing-game rollout rows; BM_PolicyInferenceBatch below measures
  * the allocation-free workspace path collection actually uses.
  */
 void
@@ -206,11 +207,8 @@ BM_PolicyForwardBatch(benchmark::State &state)
 {
     Rng rng(2);
     const auto streams = static_cast<std::size_t>(state.range(0));
-    const std::size_t obs_dim = 256;
-    ActorCritic net(obs_dim, 8, 128, 2, rng);
-    Matrix obs(streams, obs_dim);
-    for (std::size_t i = 0; i < obs.size(); ++i)
-        obs.data()[i] = 0.1f;
+    const Matrix obs = bench::rolloutObservations(false, streams);
+    ActorCritic net(obs.cols(), 8, 128, 2, rng);
     for (auto _ : state)
         benchmark::DoNotOptimize(net.forward(obs).values.data());
     state.SetItemsProcessed(state.iterations() *
@@ -288,55 +286,6 @@ BM_PpoEpochPaper(benchmark::State &state)
 BENCHMARK(BM_PpoEpochPaper)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 /**
- * Observations a seeded uniform-random policy meets in the
- * time-to-discovery cells' environments (ttdbench/src/discovery.cpp):
- * @p rows consecutive steps, episodes restarting as they end.
- * @p which 0 is the paper cell's 251-wide guessing game, 1 the
- * 137-wide 2-way TLB prime+probe cell.
- */
-Matrix
-rolloutObservations(int which, std::size_t rows)
-{
-    const char *const configs[] = {R"(
-scenario = guessing_game
-num_sets = 1
-num_ways = 4
-rep_policy = lru
-attack_addr_s = 0
-attack_addr_e = 4
-victim_addr_s = 0
-victim_addr_e = 0
-victim_no_access_enable = true
-window_size = 16
-)",
-                                   R"(
-scenario = tlb_evict
-tlb.num_sets = 1
-tlb.num_ways = 2
-tlb.rep_policy = lru
-tlb.walk_levels = 2
-tlb.level_bits = 2
-attack_addr_s = 0
-attack_addr_e = 2
-victim_addr_s = 0
-victim_addr_e = 0
-victim_no_access_enable = true
-window_size = 10
-)"};
-    const ExplorationConfig cfg = parseExplorationConfig(configs[which]);
-    auto env = makeEnv(cfg.scenario, cfg.env);
-    Rng rng(5);
-    Matrix obs(rows, env->observationSize());
-    std::vector<float> o = env->reset();
-    for (std::size_t r = 0; r < rows; ++r) {
-        std::copy(o.begin(), o.end(), obs.rowPtr(r));
-        StepResult step = env->step(rng.uniformInt(env->numActions()));
-        o = step.done ? env->reset() : std::move(step.obs);
-    }
-    return obs;
-}
-
-/**
  * One torso update of a PPO minibatch: the training forward through
  * the obs -> 128 -> 128 MLP, zeroGrad, and the backward that
  * accumulates every layer's gradients. Shapes are the
@@ -348,10 +297,10 @@ window_size = 10
 void
 BM_TorsoUpdate(benchmark::State &state)
 {
-    const int which = static_cast<int>(state.range(0));
+    const bool tlb = state.range(0) != 0;
     const bool dense = state.range(1) != 0;
-    const std::size_t rows = which == 0 ? 500 : 100;
-    Matrix obs = rolloutObservations(which, rows);
+    const std::size_t rows = tlb ? 100 : 500;
+    Matrix obs = bench::rolloutObservations(tlb, rows);
     Rng rng(6);
     if (dense) {
         for (std::size_t i = 0; i < obs.size(); ++i)

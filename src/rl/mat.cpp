@@ -16,113 +16,80 @@ namespace autocat {
 namespace {
 
 /*
- * Portable scalar kernels. These are the reference semantics for the
- * SIMD path and the fallback on non-x86 hosts (or when
- * AUTOCAT_MAT_PORTABLE=1).
+ * Portable scalar kernels (namespace scalar, below): the fallback on
+ * non-x86 hosts or under AUTOCAT_MAT_PORTABLE=1, and the definition of
+ * each kernel's canonical accumulation order, one element at a time.
+ * The AVX2 kernels compute the same orders: both backends give the
+ * same bits. Without -mfma, std::fma is a libm call, so on x86 each
+ * kernel is also built with FMA, picked at load time (not under TSan,
+ * whose runtime starts after that choice and crashes in it).
  */
 
-void
-matmulPortable(float *c, const float *a, const float *b, std::size_t m,
-               std::size_t k, std::size_t n)
+#if AUTOCAT_MAT_X86 && !defined(__SANITIZE_THREAD__)
+#define AUTOCAT_FMA_CLONES __attribute__((target_clones("fma", "default")))
+#else
+#define AUTOCAT_FMA_CLONES
+#endif
+
+/**
+ * s + a[0]*b[0] + ... + a[count-1]*b[count-1] (strides @p as, @p bs) in
+ * tail order: added in order, products in whole groups of four rounded
+ * before they are added (volatile: never contracted), the last
+ * count % 4 fused.
+ */
+inline float
+tailOrder(float s, const float *a, std::size_t as, const float *b,
+          std::size_t bs, std::size_t count)
 {
-    for (std::size_t i = 0; i < m; ++i) {
-        float *crow = c + i * n;
-        const float *arow = a + i * k;
-        for (std::size_t j = 0; j < n; ++j)
-            crow[j] = 0.0f;
-        for (std::size_t p = 0; p < k; ++p) {
-            const float av = arow[p];
-            // ReLU activations make A sparse in practice; skipping
-            // zero rows of the broadcast is a real win here.
-            if (av == 0.0f)
-                continue;
-            const float *brow = b + p * n;
-            for (std::size_t j = 0; j < n; ++j)
-                crow[j] += av * brow[j];
+    std::size_t p = 0;
+    for (; p + 4 <= count; p += 4)
+        for (std::size_t q = p; q < p + 4; ++q) {
+            volatile float prod = a[q * as] * b[q * bs];
+            s += prod;
         }
-    }
+    for (; p < count; ++p)
+        s = std::fma(a[p * as], b[p * bs], s);
+    return s;
 }
 
-void
-matmulTransAPortable(float *c, const float *a, const float *b,
-                     std::size_t k, std::size_t m, std::size_t n)
+/**
+ * dot(a, b) over k floats in dot8 order: two 8-lane fma accumulators
+ * take the 8-float blocks in turn (so an odd last block goes to the
+ * first), their lane-wise sum is reduced as (l, l+4) -> (l, l+2) ->
+ * (0, 1), then the k % 8 remainder follows in tail order.
+ */
+inline float
+dot8(const float *a, const float *b, std::size_t k)
 {
-    for (std::size_t i = 0; i < m * n; ++i)
-        c[i] = 0.0f;
-    for (std::size_t p = 0; p < k; ++p) {
-        const float *arow = a + p * m;
-        const float *brow = b + p * n;
-        for (std::size_t i = 0; i < m; ++i) {
-            const float av = arow[i];
-            if (av == 0.0f)
-                continue;
-            float *crow = c + i * n;
-            for (std::size_t j = 0; j < n; ++j)
-                crow[j] += av * brow[j];
-        }
+    float acc[2][8] = {};
+    std::size_t p = 0;
+    for (; p + 8 <= k; p += 8) {
+        float *lanes = acc[p / 8 % 2];
+        for (std::size_t l = 0; l < 8; ++l)
+            lanes[l] = std::fma(a[p + l], b[p + l], lanes[l]);
     }
+    float h[4];
+    for (std::size_t l = 0; l < 4; ++l)
+        h[l] = (acc[0][l] + acc[1][l]) + (acc[0][l + 4] + acc[1][l + 4]);
+    return tailOrder((h[0] + h[2]) + (h[1] + h[3]), a + p, 1, b + p, 1,
+                     k - p);
 }
 
-/** Row-pure scalar dot-product GEMM with optional fused bias/ReLU. */
-void
-dotGemmPortable(float *c, const float *a, const float *b, std::size_t m,
-                std::size_t n, std::size_t k, const float *bias,
-                bool relu)
+/**
+ * m rows of y = x * w^T + bias (x: m x k, w: n x k), each element in
+ * dot8 order, then ReLU as `v < 0 ? 0 : v` (-0 and NaN pass through).
+ */
+inline void
+dotGemmRows(float *y, const float *x, const float *w, std::size_t m,
+            std::size_t n, std::size_t k, const float *bias, bool relu)
 {
-    for (std::size_t i = 0; i < m; ++i) {
-        const float *arow = a + i * k;
-        float *crow = c + i * n;
+    for (std::size_t i = 0; i < m; ++i)
         for (std::size_t j = 0; j < n; ++j) {
-            const float *brow = b + j * k;
-            float acc = 0.0f;
-            for (std::size_t p = 0; p < k; ++p)
-                acc += arow[p] * brow[p];
-            if (bias)
-                acc += bias[j];
-            if (relu && acc < 0.0f)
-                acc = 0.0f;
-            crow[j] = acc;
+            float v = dot8(x + i * k, w + j * k, k) + bias[j];
+            if (relu && v < 0.0f)
+                v = 0.0f;
+            y[i * n + j] = v;
         }
-    }
-}
-
-/** dotGemmPortable over the nonzeros of each row of A only. */
-void
-sparseDotGemmPortable(float *c, const SparseRows &a, const float *b,
-                      std::size_t n, const float *bias, bool relu)
-{
-    const std::size_t k = a.cols;
-    for (std::size_t i = 0; i < a.rows; ++i) {
-        float *crow = c + i * n;
-        for (std::size_t j = 0; j < n; ++j) {
-            const float *brow = b + j * k;
-            float acc = 0.0f;
-            for (std::uint32_t e = a.rowStart[i]; e < a.rowStart[i + 1]; ++e)
-                acc += a.rowVal[e] * brow[a.rowCol[e]];
-            if (bias)
-                acc += bias[j];
-            if (relu && acc < 0.0f)
-                acc = 0.0f;
-            crow[j] = acc;
-        }
-    }
-}
-
-/** matmulTransAPortable over the nonzeros of B only (A: k x m). */
-void
-sparseMatmulTransAPortable(float *c, const float *a, std::size_t m,
-                           const SparseRows &b)
-{
-    const std::size_t n = b.cols;
-    std::fill(c, c + m * n, 0.0f);
-    for (std::size_t p = 0; p < n; ++p) {
-        for (std::uint32_t e = b.colStart[p]; e < b.colStart[p + 1]; ++e) {
-            const float *arow = a + static_cast<std::size_t>(b.colRow[e]) * m;
-            const float v = b.colVal[e];
-            for (std::size_t j = 0; j < m; ++j)
-                c[j * n + p] += arow[j] * v;
-        }
-    }
 }
 
 /**
@@ -151,25 +118,20 @@ scanRowPortable(const float *x, std::size_t begin, std::size_t end,
  * translation unit itself needs no -mavx2 flag and the binary still
  * runs on pre-AVX2 hardware.
  *
- * Every output element has one canonical accumulation order, fixed by
- * the code below and independent of the tile, panel and batch size
- * that produce it (tests/test_mat_kernels.cpp checks each kernel bit
- * for bit against a scalar std::fma reference of that order):
+ * Every output element has one canonical accumulation order,
+ * independent of the tile, panel and batch size that produce it: the
+ * order the portable kernels above compute one element at a time.
  *
  *  - Broadcast kernels (matmul, matmulTransA): c(i,j) is one fma
  *    chain, sequential over p. Exception: matmul's n % 16 tail
  *    columns add their k products in tail order (below).
- *  - Dot kernels (matmulTransB, linearForward): dot8 order. Two 8-lane
- *    fma accumulators walk k in 16-float steps (an 8-float remainder
- *    goes to the first), their sum is reduced horizontally as
- *    (l, l+4) -> (l, l+2) -> (0, 1), and the k % 8 remainder follows
- *    in tail order. Bias is added after, then ReLU. Since no order
- *    depends on the batch, these kernels are row-pure.
+ *  - Dot kernel (linearForward): dot8 order (see dot8). Bias is added
+ *    after, then ReLU. Since no order depends on the batch, it is
+ *    row-pure.
  *
- * Tail order: t products added one after another to the running sum,
- * the first t - t % 4 rounded before the add, the last t % 4 fused.
- * It is the order GCC's in-order vectorization gave the earlier scalar
- * tail loops, spelled out so it no longer depends on the compiler.
+ * Tail order (see tailOrder) is the order GCC's in-order vectorization
+ * gave the earlier scalar tail loops, spelled out so it no longer
+ * depends on the compiler.
  */
 
 /**
@@ -292,8 +254,7 @@ dotTail4(__m128 s, const float *a, const float *const *b, std::size_t p,
  * Outputs of a dot kernel: @p bias added after the dot, then ReLU as a
  * select — a branch on the output's sign mispredicts about half the
  * time. Exactly `v < 0 ? 0 : v` per lane, so -0 and NaN pass through
- * like the scalar test. Without a bias, pass -0.0f lanes: -0 is the
- * additive identity (x + -0 == x bit for bit, -0 included).
+ * as in dotGemmRows.
  */
 __attribute__((target("avx2,fma"))) inline __m128
 dotEpilogue(__m128 v, __m128 bias, bool relu)
@@ -308,7 +269,7 @@ dotEpilogue(__m128 v, __m128 bias, bool relu)
 constexpr std::size_t kPanelFloats = 4096;
 
 /**
- * C = A * B^T (A: m x k, B: n x k) with optional fused bias/ReLU. B is
+ * C = A * B^T + bias (A: m x k, B: n x k), optionally ReLU-clamped. B is
  * walked in L1-sized panels of rows, and every row of A passes a panel
  * before the next one is loaded, so B streams from L2 once per call
  * rather than once per row of A. Within a panel, 1 x 4 blocks share
@@ -323,7 +284,6 @@ dotGemmAvx2(float *c, const float *a, const float *b, std::size_t m,
 {
     const std::size_t panel = std::max<std::size_t>(
         4, kPanelFloats / std::max<std::size_t>(k, 1) / 4 * 4);
-    const __m128 no_bias = _mm_set1_ps(-0.0f);
     for (std::size_t j0 = 0; j0 < n; j0 += panel) {
         const std::size_t j1 = std::min(n, j0 + panel);
         for (std::size_t i = 0; i < m; ++i) {
@@ -337,10 +297,7 @@ dotGemmAvx2(float *c, const float *a, const float *b, std::size_t m,
                 const std::size_t p = dotSums<4>(arow, brows, k, sum);
                 const __m128 v = dotTail4(hsum8x4(sum), arow, brows, p, k);
                 _mm_storeu_ps(crow + j,
-                              dotEpilogue(v,
-                                          bias ? _mm_loadu_ps(bias + j)
-                                               : no_bias,
-                                          relu));
+                              dotEpilogue(v, _mm_loadu_ps(bias + j), relu));
             }
             for (; j < j1; ++j) {
                 const float *brow = b + j * k;
@@ -348,9 +305,8 @@ dotGemmAvx2(float *c, const float *a, const float *b, std::size_t m,
                 const std::size_t p = dotSums<1>(arow, &brow, k, sum);
                 const float v =
                     dotTail(hsum8(sum[0]), arow + p, brow + p, k - p);
-                crow[j] = _mm_cvtss_f32(dotEpilogue(
-                    _mm_set_ss(v), bias ? _mm_set_ss(bias[j]) : no_bias,
-                    relu));
+                crow[j] = _mm_cvtss_f32(
+                    dotEpilogue(_mm_set_ss(v), _mm_set_ss(bias[j]), relu));
             }
         }
     }
@@ -468,22 +424,6 @@ gemmAvx2(float *c, const float *a, std::size_t a_rs, std::size_t a_cs,
         gemmRows<1>(c, a, a_rs, a_cs, b, i, k, n, tail_unfused);
 }
 
-/** C = A * B. A: m x k, B: k x n. */
-void
-matmulAvx2(float *c, const float *a, const float *b, std::size_t m,
-           std::size_t k, std::size_t n)
-{
-    gemmAvx2(c, a, k, 1, b, m, k, n, k / 4 * 4);
-}
-
-/** C = A^T * B. A: k x m, B: k x n. */
-void
-matmulTransAAvx2(float *c, const float *a, const float *b, std::size_t k,
-                 std::size_t m, std::size_t n)
-{
-    gemmAvx2(c, a, 1, m, b, m, k, n, 0);
-}
-
 /** scanRowPortable, eight floats per compare. */
 __attribute__((target("avx2,fma"))) std::size_t
 scanRowAvx2(const float *x, std::size_t cols, std::uint32_t *col, float *val)
@@ -525,8 +465,7 @@ sparseDotGemmAvx2(float *c, const SparseRows &a, const float *b,
         for (std::size_t p = 0; p < k; ++p)
             bt[p * np + j] = b[j * k + p];
     pbias.assign(np, -0.0f);
-    if (bias)
-        std::copy(bias, bias + n, pbias.begin());
+    std::copy(bias, bias + n, pbias.begin());
     slots.resize(16 * np);
     zeros.assign(np, 0.0f);
 
@@ -585,7 +524,7 @@ sparseDotGemmAvx2(float *c, const SparseRows &a, const float *b,
 /**
  * Column p's outputs j in [j0, j0 + 8 NV) of C = A^T * B for a sparse
  * B: one fma chain per output over the column's nonzero rows, in row
- * order — matmulTransAAvx2's chain without its zero terms.
+ * order — the dense matmulTransA chain without its zero terms.
  */
 template <int NV>
 __attribute__((target("avx2,fma"))) inline void
@@ -660,58 +599,53 @@ matmulBackend()
     return useAvx2() ? "avx2+fma" : "portable";
 }
 
-void
+namespace scalar {
+
+AUTOCAT_FMA_CLONES void
 matmulInto(Matrix &c, const Matrix &a, const Matrix &b)
 {
     assert(a.cols() == b.rows());
     assert(&c != &a && &c != &b);
-    c.resizeUninit(a.rows(), b.cols());
-#if AUTOCAT_MAT_X86
-    if (useAvx2()) {
-        matmulAvx2(c.data(), a.data(), b.data(), a.rows(), a.cols(),
-                   b.cols());
-        return;
+    const std::size_t k = a.cols(), n = b.cols();
+    c.resizeUninit(a.rows(), n);
+    // One fma chain over p per element, p-outer; the n % 16 tail
+    // columns in tail order.
+    const std::size_t tiled = n / 16 * 16;
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+        float *crow = c.rowPtr(i);
+        const float *arow = a.rowPtr(i);
+        std::fill(crow, crow + tiled, 0.0f);
+        for (std::size_t p = 0; p < k; ++p) {
+            const float *brow = b.rowPtr(p);
+            for (std::size_t j = 0; j < tiled; ++j)
+                crow[j] = std::fma(arow[p], brow[j], crow[j]);
+        }
+        for (std::size_t j = tiled; j < n; ++j)
+            crow[j] = tailOrder(0.0f, arow, 1, b.data() + j, n, k);
     }
-#endif
-    matmulPortable(c.data(), a.data(), b.data(), a.rows(), a.cols(),
-                   b.cols());
 }
 
-void
-matmulTransBInto(Matrix &c, const Matrix &a, const Matrix &b)
-{
-    assert(a.cols() == b.cols());
-    assert(&c != &a && &c != &b);
-    c.resizeUninit(a.rows(), b.rows());
-#if AUTOCAT_MAT_X86
-    if (useAvx2()) {
-        dotGemmAvx2(c.data(), a.data(), b.data(), a.rows(), b.rows(),
-                    a.cols(), nullptr, false);
-        return;
-    }
-#endif
-    dotGemmPortable(c.data(), a.data(), b.data(), a.rows(), b.rows(),
-                    a.cols(), nullptr, false);
-}
-
-void
+AUTOCAT_FMA_CLONES void
 matmulTransAInto(Matrix &c, const Matrix &a, const Matrix &b)
 {
     assert(a.rows() == b.rows());
     assert(&c != &a && &c != &b);
-    c.resizeUninit(a.cols(), b.cols());
-#if AUTOCAT_MAT_X86
-    if (useAvx2()) {
-        matmulTransAAvx2(c.data(), a.data(), b.data(), a.rows(), a.cols(),
-                         b.cols());
-        return;
+    const std::size_t m = a.cols(), n = b.cols();
+    c.resizeUninit(m, n);
+    c.zero();
+    // One fma chain over p per element, p-outer.
+    for (std::size_t p = 0; p < a.rows(); ++p) {
+        const float *brow = b.rowPtr(p);
+        for (std::size_t i = 0; i < m; ++i) {
+            float *crow = c.rowPtr(i);
+            const float av = a(p, i);
+            for (std::size_t j = 0; j < n; ++j)
+                crow[j] = std::fma(av, brow[j], crow[j]);
+        }
     }
-#endif
-    matmulTransAPortable(c.data(), a.data(), b.data(), a.rows(), a.cols(),
-                         b.cols());
 }
 
-void
+AUTOCAT_FMA_CLONES void
 linearForwardInto(Matrix &y, const Matrix &x, const Matrix &w,
                   const std::vector<float> &bias, bool relu)
 {
@@ -719,15 +653,98 @@ linearForwardInto(Matrix &y, const Matrix &x, const Matrix &w,
     assert(bias.size() == w.rows());
     assert(&y != &x && &y != &w);
     y.resizeUninit(x.rows(), w.rows());
-#if AUTOCAT_MAT_X86
-    if (useAvx2()) {
-        dotGemmAvx2(y.data(), x.data(), w.data(), x.rows(), w.rows(),
-                    x.cols(), bias.data(), relu);
-        return;
+    dotGemmRows(y.data(), x.data(), w.data(), x.rows(), w.rows(), x.cols(),
+                bias.data(), relu);
+}
+
+AUTOCAT_FMA_CLONES void
+sparseLinearForwardInto(Matrix &y, const SparseRows &x, const Matrix &w,
+                        const std::vector<float> &bias, bool relu)
+{
+    assert(x.cols == w.cols());
+    assert(bias.size() == w.rows());
+    assert(&y != &w);
+    y.resizeUninit(x.rows, w.rows());
+    // Each row scattered back into a dense row of +0s: the dense dot8
+    // gives the same bits as it would on the -0s that became +0 (see
+    // mat.hpp).
+    std::vector<float> row(x.cols);
+    for (std::size_t i = 0; i < x.rows; ++i) {
+        std::fill(row.begin(), row.end(), 0.0f);
+        for (std::uint32_t e = x.rowStart[i]; e < x.rowStart[i + 1]; ++e)
+            row[x.rowCol[e]] = x.rowVal[e];
+        dotGemmRows(y.rowPtr(i), row.data(), w.data(), 1, w.rows(), x.cols,
+                    bias.data(), relu);
     }
+}
+
+AUTOCAT_FMA_CLONES void
+sparseMatmulTransAInto(Matrix &c, const Matrix &a, const SparseRows &b)
+{
+    assert(a.rows() == b.rows);
+    assert(&c != &a);
+    const std::size_t m = a.cols();
+    c.resizeUninit(m, b.cols);
+    // One fma chain per output over column p's nonzero rows, in order,
+    // kept for all m outputs at once in col.
+    std::vector<float> col(m);
+    for (std::size_t p = 0; p < b.cols; ++p) {
+        std::fill(col.begin(), col.end(), 0.0f);
+        for (std::uint32_t e = b.colStart[p]; e < b.colStart[p + 1]; ++e) {
+            const float *arow = a.rowPtr(b.colRow[e]);
+            for (std::size_t j = 0; j < m; ++j)
+                col[j] = std::fma(arow[j], b.colVal[e], col[j]);
+        }
+        for (std::size_t j = 0; j < m; ++j)
+            c(j, p) = col[j];
+    }
+}
+
+} // namespace scalar
+
+void
+matmulInto(Matrix &c, const Matrix &a, const Matrix &b)
+{
+    if (!useAvx2())
+        return scalar::matmulInto(c, a, b);
+#if AUTOCAT_MAT_X86
+    assert(a.cols() == b.rows());
+    assert(&c != &a && &c != &b);
+    c.resizeUninit(a.rows(), b.cols());
+    // Tail columns in tail order: the first k / 4 * 4 products rounded.
+    gemmAvx2(c.data(), a.data(), a.cols(), 1, b.data(), a.rows(), a.cols(),
+             b.cols(), a.cols() / 4 * 4);
 #endif
-    dotGemmPortable(y.data(), x.data(), w.data(), x.rows(), w.rows(),
-                    x.cols(), bias.data(), relu);
+}
+
+void
+matmulTransAInto(Matrix &c, const Matrix &a, const Matrix &b)
+{
+    if (!useAvx2())
+        return scalar::matmulTransAInto(c, a, b);
+#if AUTOCAT_MAT_X86
+    assert(a.rows() == b.rows());
+    assert(&c != &a && &c != &b);
+    c.resizeUninit(a.cols(), b.cols());
+    gemmAvx2(c.data(), a.data(), 1, a.cols(), b.data(), a.cols(), a.rows(),
+             b.cols(), 0);
+#endif
+}
+
+void
+linearForwardInto(Matrix &y, const Matrix &x, const Matrix &w,
+                  const std::vector<float> &bias, bool relu)
+{
+    if (!useAvx2())
+        return scalar::linearForwardInto(y, x, w, bias, relu);
+#if AUTOCAT_MAT_X86
+    assert(x.cols() == w.cols());
+    assert(bias.size() == w.rows());
+    assert(&y != &x && &y != &w);
+    y.resizeUninit(x.rows(), w.rows());
+    dotGemmAvx2(y.data(), x.data(), w.data(), x.rows(), w.rows(), x.cols(),
+                bias.data(), relu);
+#endif
 }
 
 void
@@ -787,34 +804,28 @@ void
 sparseLinearForwardInto(Matrix &y, const SparseRows &x, const Matrix &w,
                         const std::vector<float> &bias, bool relu)
 {
+    if (!useAvx2())
+        return scalar::sparseLinearForwardInto(y, x, w, bias, relu);
+#if AUTOCAT_MAT_X86
     assert(x.cols == w.cols());
     assert(bias.size() == w.rows());
     assert(&y != &w);
     y.resizeUninit(x.rows, w.rows());
-#if AUTOCAT_MAT_X86
-    if (useAvx2()) {
-        sparseDotGemmAvx2(y.data(), x, w.data(), w.rows(), bias.data(),
-                          relu);
-        return;
-    }
+    sparseDotGemmAvx2(y.data(), x, w.data(), w.rows(), bias.data(), relu);
 #endif
-    sparseDotGemmPortable(y.data(), x, w.data(), w.rows(), bias.data(),
-                          relu);
 }
 
 void
 sparseMatmulTransAInto(Matrix &c, const Matrix &a, const SparseRows &b)
 {
+    if (!useAvx2())
+        return scalar::sparseMatmulTransAInto(c, a, b);
+#if AUTOCAT_MAT_X86
     assert(a.rows() == b.rows);
     assert(&c != &a);
     c.resizeUninit(a.cols(), b.cols);
-#if AUTOCAT_MAT_X86
-    if (useAvx2()) {
-        sparseMatmulTransAAvx2(c.data(), a.data(), a.cols(), b);
-        return;
-    }
+    sparseMatmulTransAAvx2(c.data(), a.data(), a.cols(), b);
 #endif
-    sparseMatmulTransAPortable(c.data(), a.data(), a.cols(), b);
 }
 
 Matrix
@@ -822,22 +833,6 @@ matmul(const Matrix &a, const Matrix &b)
 {
     Matrix c;
     matmulInto(c, a, b);
-    return c;
-}
-
-Matrix
-matmulTransB(const Matrix &a, const Matrix &b)
-{
-    Matrix c;
-    matmulTransBInto(c, a, b);
-    return c;
-}
-
-Matrix
-matmulTransA(const Matrix &a, const Matrix &b)
-{
-    Matrix c;
-    matmulTransAInto(c, a, b);
     return c;
 }
 

@@ -3,29 +3,31 @@
  * Minimal dense matrix used by the neural-network substrate.
  *
  * Row-major float storage with exactly the operations PPO needs:
- * matmul (plain and transposed variants), a fused affine map for
- * inference, elementwise ops, and row/col reductions. Deliberately not
- * a general linear-algebra library.
+ * matmul (plain and A-transposed), a fused affine map for the forward,
+ * their sparse-input variants, elementwise ops, and row/col
+ * reductions. Deliberately not a general linear-algebra library.
  *
  * The matmul entry points dispatch at runtime between a blocked,
- * register-tiled AVX2+FMA kernel and a portable scalar fallback (see
- * matmulBackend()). Two properties every backend upholds:
+ * register-tiled AVX2+FMA kernel and the portable scalar kernels in
+ * namespace scalar (see matmulBackend()). Every kernel has one
+ * canonical per-element accumulation order, which the scalar kernel
+ * computes element by element (mat.cpp). So:
  *
- *  - **Determinism**: for a fixed backend, results are a pure function
- *    of the operands — no threading, no runtime-dependent blocking.
- *  - **Row purity** (matmulTransBInto / linearForwardInto only): each
- *    output row is computed with an accumulation order that depends
- *    only on that row of A and on B — never on the number of other
- *    rows in the batch. Forwarding a batch in two halves is therefore
- *    bitwise identical to forwarding it whole, so a stream's actions
- *    do not depend on how many other streams share its batch.
+ *  - **Determinism**: both backends give the same bits, and results
+ *    are a pure function of the operands — no threading, no
+ *    runtime-dependent blocking. A report does not depend on which
+ *    backend, or which host, rendered it.
+ *  - **Row purity** (linearForwardInto): each output row's
+ *    accumulation order depends only on that row of x and on w —
+ *    never on the number of other rows in the batch. Forwarding a
+ *    batch in two halves is therefore bitwise identical to forwarding
+ *    it whole, so a stream's actions do not depend on how many other
+ *    streams share its batch.
  *
- * Each AVX2 kernel also has one canonical per-element accumulation
- * order, documented in mat.cpp and pinned bit for bit by
- * tests/test_mat_kernels.cpp.
- *
- * Set AUTOCAT_MAT_PORTABLE=1 in the environment (before first use) to
- * force the portable backend, e.g. when A/B-measuring the SIMD path.
+ * tests/test_mat_kernels.cpp compares the dispatching kernels with the
+ * scalar ones by memcmp. Set AUTOCAT_MAT_PORTABLE=1 in the environment
+ * (before first use) to force the portable backend, e.g. when
+ * A/B-measuring the SIMD path.
  */
 
 #ifndef AUTOCAT_RL_MAT_HPP
@@ -130,19 +132,10 @@ bool useAvx2();
  *        need no particular alignment — kernels use unaligned loads.
  *  Post: @p c is resized to the product shape and every element is
  *        overwritten (no accumulate-into semantics).
- *
- * The value-returning wrappers below allocate a fresh destination and
- * forward to these.
  */
 
 /** C = A * B. A: m x k, B: k x n. */
 void matmulInto(Matrix &c, const Matrix &a, const Matrix &b);
-
-/**
- * C = A * B^T. A: m x k, B: n x k. Row-pure: row i of C depends only
- * on row i of A (see the file comment), so batch splitting is exact.
- */
-void matmulTransBInto(Matrix &c, const Matrix &a, const Matrix &b);
 
 /** C = A^T * B. A: k x m, B: k x n. */
 void matmulTransAInto(Matrix &c, const Matrix &a, const Matrix &b);
@@ -153,8 +146,8 @@ void matmulTransAInto(Matrix &c, const Matrix &a, const Matrix &b);
  *
  *  Pre:  x: B x in, w: out x in, bias.size() == out; @p y must alias
  *        neither @p x nor @p w (asserted).
- *  Post: y is B x out, fully overwritten. Row-pure like
- *        matmulTransBInto.
+ *  Post: y is B x out, fully overwritten. Row-pure (see the file
+ *        comment).
  */
 void linearForwardInto(Matrix &y, const Matrix &x, const Matrix &w,
                        const std::vector<float> &bias, bool relu);
@@ -218,14 +211,26 @@ void sparseLinearForwardInto(Matrix &y, const SparseRows &x,
 void sparseMatmulTransAInto(Matrix &c, const Matrix &a,
                             const SparseRows &b);
 
-/** C = A * B. A: m x k, B: k x n. */
+/** C = A * B into a fresh matrix (see matmulInto). */
 Matrix matmul(const Matrix &a, const Matrix &b);
 
-/** C = A * B^T. A: m x k, B: n x k. */
-Matrix matmulTransB(const Matrix &a, const Matrix &b);
-
-/** C = A^T * B. A: k x m, B: k x n. */
-Matrix matmulTransA(const Matrix &a, const Matrix &b);
+/**
+ * The portable backend: the kernels the entry points above run when
+ * useAvx2() is false, with the same pre/postconditions. Each computes
+ * every output in its canonical order, one element at a time, so it is
+ * also the oracle the AVX2 kernels are held to bit for bit.
+ */
+namespace scalar {
+void matmulInto(Matrix &c, const Matrix &a, const Matrix &b);
+void matmulTransAInto(Matrix &c, const Matrix &a, const Matrix &b);
+void linearForwardInto(Matrix &y, const Matrix &x, const Matrix &w,
+                       const std::vector<float> &bias, bool relu);
+void sparseLinearForwardInto(Matrix &y, const SparseRows &x,
+                             const Matrix &w,
+                             const std::vector<float> &bias, bool relu);
+void sparseMatmulTransAInto(Matrix &c, const Matrix &a,
+                            const SparseRows &b);
+} // namespace scalar
 
 /**
  * Fused row-wise softmax + entropy over a logits matrix: for each row

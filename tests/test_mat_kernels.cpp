@@ -4,15 +4,17 @@
  * against a naive triple-loop reference, across shapes chosen to hit
  * every tile-edge path: non-multiple-of-tile M (4-row blocks), N
  * (4/16-column blocks), and K (8/16-lane vector steps), plus the
- * fused bias+ReLU path and the row-purity guarantee the
- * double-buffered collector relies on.
+ * fused bias+ReLU path and the row-purity guarantee batched
+ * collection relies on.
  *
- * The bitwise oracle below goes further than a tolerance: a scalar
- * std::fma reference written in each AVX2 kernel's canonical
- * per-element accumulation order must match the kernel bit for bit,
- * so a kernel rewrite that reorders a single sum fails here. The
- * sparse-input kernels are held to their dense counterparts the same
- * way, on both backends.
+ * The bitwise oracle below goes further than a tolerance: the
+ * dispatching kernels must match the portable backend (namespace
+ * scalar), which computes each kernel's canonical per-element
+ * accumulation order, bit for bit, so a kernel rewrite that reorders
+ * a single sum fails here. The sparse-input kernels are held to their
+ * dense counterparts the same way. Run the suite with
+ * AUTOCAT_MAT_PORTABLE=1 too: the tolerance and sparse-vs-dense
+ * checks then exercise the portable kernels.
  */
 
 #include <gtest/gtest.h>
@@ -22,10 +24,9 @@
 #include <string>
 #include <vector>
 
-#include "core/config_parser.hpp"
-#include "env/env_registry.hpp"
 #include "rl/actor_critic.hpp"
 #include "rl/mat.hpp"
+#include "rollout_observations.hpp"
 #include "util/rng.hpp"
 
 namespace autocat {
@@ -104,23 +105,15 @@ TEST(MatKernels, MatmulMatchesReferenceOnOddShapes)
     }
 }
 
-TEST(MatKernels, MatmulTransBMatchesReferenceOnOddShapes)
-{
-    Rng rng(22);
-    for (const Shape &s : kOddShapes) {
-        const Matrix a = randomMatrix(s.m, s.k, rng);
-        const Matrix b = randomMatrix(s.n, s.k, rng);  // transposed operand
-        expectNear(matmulTransB(a, b), refMatmul(a, transpose(b)), 1e-4);
-    }
-}
-
 TEST(MatKernels, MatmulTransAMatchesReferenceOnOddShapes)
 {
     Rng rng(23);
     for (const Shape &s : kOddShapes) {
         const Matrix a = randomMatrix(s.k, s.m, rng);  // transposed operand
         const Matrix b = randomMatrix(s.k, s.n, rng);
-        expectNear(matmulTransA(a, b), refMatmul(transpose(a), b), 1e-4);
+        Matrix c;
+        matmulTransAInto(c, a, b);
+        expectNear(c, refMatmul(transpose(a), b), 1e-4);
     }
 }
 
@@ -170,9 +163,9 @@ TEST(MatKernels, IntoVariantsReuseDestinationStorage)
 
 /**
  * Row purity: computing a batch in two arbitrary row-splits must be
- * BITWISE identical to computing it whole. The double-buffered PPO
- * collector forwards stream groups separately and relies on this for
- * its off ≡ on reproducibility guarantee.
+ * BITWISE identical to computing it whole. Collection forwards every
+ * stream's row in one batch, so a stream's actions must not depend on
+ * how many other streams share it.
  */
 TEST(MatKernels, LinearForwardIsRowPureUnderBatchSplits)
 {
@@ -234,114 +227,6 @@ TEST(MatKernels, ActorCriticForwardNoGradIsRowPure)
 
 // ------------------------------------------------- bitwise oracle --
 
-/**
- * The kernels' tail order: s + a[0]*b[0] + ... + a[count-1]*b[count-1]
- * (strides @p as, @p bs) added in order, products in whole groups of
- * four rounded before they are added (volatile: never contracted), the
- * last count % 4 fused.
- */
-float
-tailOrder(float s, const float *a, std::size_t as, const float *b,
-          std::size_t bs, std::size_t count)
-{
-    std::size_t p = 0;
-    for (; p + 4 <= count; p += 4)
-        for (std::size_t q = p; q < p + 4; ++q) {
-            volatile float prod = a[q * as] * b[q * bs];
-            s += prod;
-        }
-    for (; p < count; ++p)
-        s = std::fma(a[p * as], b[p * bs], s);
-    return s;
-}
-
-/**
- * C = A * B: sequential over p, fused inside 16-column tiles; the
- * n % 16 tail columns in tail order.
- */
-Matrix
-fmaMatmul(const Matrix &a, const Matrix &b)
-{
-    Matrix c(a.rows(), b.cols());
-    const std::size_t tiled = b.cols() / 16 * 16;
-    for (std::size_t i = 0; i < a.rows(); ++i)
-        for (std::size_t j = 0; j < b.cols(); ++j) {
-            float s = 0.0f;
-            if (j < tiled) {
-                for (std::size_t p = 0; p < a.cols(); ++p)
-                    s = std::fma(a(i, p), b(p, j), s);
-            } else {
-                s = tailOrder(0.0f, a.rowPtr(i), 1, b.data() + j,
-                                b.cols(), a.cols());
-            }
-            c(i, j) = s;
-        }
-    return c;
-}
-
-/** C = A^T * B (A: k x m): every element a sequential fma chain over p. */
-Matrix
-fmaMatmulTransA(const Matrix &a, const Matrix &b)
-{
-    Matrix c(a.cols(), b.cols());
-    for (std::size_t i = 0; i < a.cols(); ++i)
-        for (std::size_t j = 0; j < b.cols(); ++j) {
-            float s = 0.0f;
-            for (std::size_t p = 0; p < a.rows(); ++p)
-                s = std::fma(a(p, i), b(p, j), s);
-            c(i, j) = s;
-        }
-    return c;
-}
-
-/**
- * The dot-product kernels' order: two 8-lane fma accumulators over
- * 16-float steps (an 8-float remainder goes to the first), their
- * lane-wise sum reduced as (l, l+4) → (l, l+2) → (0, 1), then the
- * k % 8 remainder in tail order.
- */
-float
-fmaDot8(const float *a, const float *b, std::size_t k)
-{
-    float acc0[8] = {}, acc1[8] = {};
-    std::size_t p = 0;
-    for (; p + 16 <= k; p += 16)
-        for (std::size_t l = 0; l < 8; ++l) {
-            acc0[l] = std::fma(a[p + l], b[p + l], acc0[l]);
-            acc1[l] = std::fma(a[p + 8 + l], b[p + 8 + l], acc1[l]);
-        }
-    if (p + 8 <= k) {
-        for (std::size_t l = 0; l < 8; ++l)
-            acc0[l] = std::fma(a[p + l], b[p + l], acc0[l]);
-        p += 8;
-    }
-    float v[8];
-    for (std::size_t l = 0; l < 8; ++l)
-        v[l] = acc0[l] + acc1[l];
-    float h[4];
-    for (std::size_t l = 0; l < 4; ++l)
-        h[l] = v[l] + v[l + 4];
-    const float s = (h[0] + h[2]) + (h[1] + h[3]);
-    return tailOrder(s, a + p, 1, b + p, 1, k - p);
-}
-
-/** y = x w^T (+ bias, then ReLU) with each element in fmaDot8 order. */
-Matrix
-fmaDotGemm(const Matrix &x, const Matrix &w, const float *bias, bool relu)
-{
-    Matrix y(x.rows(), w.rows());
-    for (std::size_t i = 0; i < x.rows(); ++i)
-        for (std::size_t j = 0; j < w.rows(); ++j) {
-            float v = fmaDot8(x.rowPtr(i), w.rowPtr(j), x.cols());
-            if (bias)
-                v += bias[j];
-            if (relu && v < 0.0f)
-                v = 0.0f;
-            y(i, j) = v;
-        }
-    return y;
-}
-
 void
 expectBitwise(const Matrix &got, const Matrix &want, const Shape &s,
               const char *what)
@@ -383,16 +268,8 @@ oracleShapes()
     return shapes;
 }
 
-bool
-avx2Backend()
-{
-    return std::string(matmulBackend()) == "avx2+fma";
-}
-
 TEST(MatKernelsOracle, MatmulIsBitwiseCanonicalOrder)
 {
-    if (!avx2Backend())
-        GTEST_SKIP() << "the canonical orders are the avx2+fma kernels'";
     Rng rng(31);
     std::vector<Shape> shapes = oracleShapes();
     // dX = dY * W: batch x out times out x in.
@@ -401,14 +278,14 @@ TEST(MatKernelsOracle, MatmulIsBitwiseCanonicalOrder)
     for (const Shape &s : shapes) {
         const Matrix a = randomMatrix(s.m, s.k, rng);
         const Matrix b = randomMatrix(s.k, s.n, rng);
-        expectBitwise(matmul(a, b), fmaMatmul(a, b), s, "matmul");
+        Matrix want;
+        scalar::matmulInto(want, a, b);
+        expectBitwise(matmul(a, b), want, s, "matmul");
     }
 }
 
 TEST(MatKernelsOracle, MatmulTransAIsBitwiseSequentialFma)
 {
-    if (!avx2Backend())
-        GTEST_SKIP() << "the canonical orders are the avx2+fma kernels'";
     Rng rng(32);
     std::vector<Shape> shapes = oracleShapes();
     // dW = dY^T * X: out x batch times batch x in.
@@ -417,31 +294,15 @@ TEST(MatKernelsOracle, MatmulTransAIsBitwiseSequentialFma)
     for (const Shape &s : shapes) {
         const Matrix a = randomMatrix(s.k, s.m, rng);
         const Matrix b = randomMatrix(s.k, s.n, rng);
-        expectBitwise(matmulTransA(a, b), fmaMatmulTransA(a, b), s,
-                      "matmulTransA");
-    }
-}
-
-TEST(MatKernelsOracle, MatmulTransBIsBitwiseDot8)
-{
-    if (!avx2Backend())
-        GTEST_SKIP() << "the canonical orders are the avx2+fma kernels'";
-    Rng rng(33);
-    std::vector<Shape> shapes = oracleShapes();
-    shapes.insert(shapes.end(), std::begin(kWorkloadLayers),
-                  std::end(kWorkloadLayers));
-    for (const Shape &s : shapes) {
-        const Matrix a = randomMatrix(s.m, s.k, rng);
-        const Matrix b = randomMatrix(s.n, s.k, rng);
-        expectBitwise(matmulTransB(a, b), fmaDotGemm(a, b, nullptr, false),
-                      s, "matmulTransB");
+        Matrix got, want;
+        matmulTransAInto(got, a, b);
+        scalar::matmulTransAInto(want, a, b);
+        expectBitwise(got, want, s, "matmulTransA");
     }
 }
 
 TEST(MatKernelsOracle, LinearForwardIsBitwiseDot8)
 {
-    if (!avx2Backend())
-        GTEST_SKIP() << "the canonical orders are the avx2+fma kernels'";
     Rng rng(34);
     std::vector<Shape> shapes = oracleShapes();
     shapes.insert(shapes.end(), std::begin(kWorkloadLayers),
@@ -453,9 +314,10 @@ TEST(MatKernelsOracle, LinearForwardIsBitwiseDot8)
         for (auto &v : bias)
             v = static_cast<float>(rng.gaussian());
         for (const bool relu : {false, true}) {
-            Matrix y;
-            linearForwardInto(y, x, w, bias, relu);
-            expectBitwise(y, fmaDotGemm(x, w, bias.data(), relu), s,
+            Matrix got, want;
+            linearForwardInto(got, x, w, bias, relu);
+            scalar::linearForwardInto(want, x, w, bias, relu);
+            expectBitwise(got, want, s,
                           relu ? "linearForward+relu" : "linearForward");
         }
     }
@@ -507,54 +369,9 @@ sparseInput(std::size_t m, std::size_t k, std::size_t kind0, Rng &rng)
 }
 
 /**
- * @p rows observations a seeded uniform-random policy meets in a
- * time-to-discovery cell's environment: the 251-wide Table V guessing
- * game (@p tlb false) or the 137-wide 2-way TLB prime+probe.
- */
-Matrix
-rolloutObservations(bool tlb, std::size_t rows)
-{
-    const char *const guessing = R"(
-scenario = guessing_game
-num_sets = 1
-num_ways = 4
-attack_addr_s = 0
-attack_addr_e = 4
-victim_addr_s = 0
-victim_addr_e = 0
-victim_no_access_enable = true
-window_size = 16
-)";
-    const char *const tlb_evict = R"(
-scenario = tlb_evict
-tlb.num_sets = 1
-tlb.num_ways = 2
-tlb.walk_levels = 2
-tlb.level_bits = 2
-attack_addr_s = 0
-attack_addr_e = 2
-victim_addr_s = 0
-victim_addr_e = 0
-victim_no_access_enable = true
-window_size = 10
-)";
-    const ExplorationConfig cfg =
-        parseExplorationConfig(tlb ? tlb_evict : guessing);
-    auto env = makeEnv(cfg.scenario, cfg.env);
-    Rng rng(tlb ? 51 : 52);
-    Matrix obs(rows, env->observationSize());
-    std::vector<float> o = env->reset();
-    for (std::size_t r = 0; r < rows; ++r) {
-        std::copy(o.begin(), o.end(), obs.rowPtr(r));
-        StepResult step = env->step(rng.uniformInt(env->numActions()));
-        o = step.done ? env->reset() : std::move(step.obs);
-    }
-    return obs;
-}
-
-/**
  * The sparse forward (with and without ReLU) and the sparse dW on @p x
- * against the dense kernels, by memcmp, at layer width @p n.
+ * against the dense kernels and the portable sparse kernels, by
+ * memcmp, at layer width @p n.
  */
 void
 expectSparseKernelsMatchDense(const Matrix &x, std::size_t n, Rng &rng)
@@ -567,22 +384,26 @@ expectSparseKernelsMatchDense(const Matrix &x, std::size_t n, Rng &rng)
     SparseRows sx;
     sparseRowsInto(sx, x);
     for (const bool relu : {false, true}) {
-        Matrix want, got;
+        Matrix want, got, portable;
         linearForwardInto(want, x, w, bias, relu);
         sparseLinearForwardInto(got, sx, w, bias, relu);
-        expectBitwise(got, want, s,
-                      relu ? "sparseLinearForward+relu"
-                           : "sparseLinearForward");
+        scalar::sparseLinearForwardInto(portable, sx, w, bias, relu);
+        const char *what =
+            relu ? "sparseLinearForward+relu" : "sparseLinearForward";
+        expectBitwise(got, want, s, what);
+        expectBitwise(portable, want, s, what);
     }
     // dY as the ReLU backward leaves it: a third of it exact zeros.
     Matrix dy = randomMatrix(x.rows(), n, rng);
     for (std::size_t i = 0; i < dy.size(); ++i)
         if (rng.uniformInt(3) == 0)
             dy.data()[i] = 0.0f;
-    Matrix want, got;
+    Matrix want, got, portable;
     matmulTransAInto(want, dy, x);
     sparseMatmulTransAInto(got, dy, sx);
+    scalar::sparseMatmulTransAInto(portable, dy, sx);
     expectBitwise(got, want, s, "sparseMatmulTransA");
+    expectBitwise(portable, want, s, "sparseMatmulTransA");
 }
 
 TEST(MatKernelsOracle, SparseRowsIndexNonzerosByRowAndColumn)
@@ -635,7 +456,7 @@ TEST(MatKernelsOracle, SparseKernelsMatchDenseOnRolloutObservations)
 {
     Rng rng(36);
     for (const bool tlb : {false, true}) {
-        const Matrix obs = rolloutObservations(tlb, 500);
+        const Matrix obs = bench::rolloutObservations(tlb, 500);
         EXPECT_EQ(obs.cols(), tlb ? 137u : 251u);
         for (const std::size_t m : {1, 100, 500}) {
             SCOPED_TRACE(std::string(tlb ? "tlb_evict" : "guessing_game") +

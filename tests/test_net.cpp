@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -86,18 +87,51 @@ tinyNetSweep()
 
 const std::string kDaemon = AUTOCAT_TEST_RUNNER_DAEMON;
 
-/** fork/exec a child with argv @p args; returns its pid. */
+/**
+ * This process's environment ("NAME=value" entries) with
+ * AUTOCAT_MAT_PORTABLE=1 when @p portable, and without it otherwise.
+ */
+std::vector<std::string>
+matBackendEnv(bool portable)
+{
+    const char *const key = "AUTOCAT_MAT_PORTABLE=";
+    std::vector<std::string> env;
+    for (char **e = environ; *e != nullptr; ++e)
+        if (std::strncmp(*e, key, std::strlen(key)) != 0)
+            env.emplace_back(*e);
+    if (portable)
+        env.push_back(std::string(key) + "1");
+    return env;
+}
+
+/** Pointers to @p strings, null-terminated, for exec. */
+std::vector<char *>
+execVector(std::vector<std::string> &strings)
+{
+    std::vector<char *> out;
+    for (std::string &str : strings)
+        out.push_back(str.data());
+    out.push_back(nullptr);
+    return out;
+}
+
+/**
+ * fork/exec a child with argv @p args and, when given, environment
+ * @p env (else this process's); returns its pid.
+ */
 pid_t
-spawnChild(const std::vector<std::string> &args)
+spawnChild(const std::vector<std::string> &args,
+           const std::vector<std::string> *env = nullptr)
 {
     std::vector<std::string> owned = args;
-    std::vector<char *> argv;
-    for (std::string &a : owned)
-        argv.push_back(a.data());
-    argv.push_back(nullptr);
+    std::vector<std::string> owned_env;
+    if (env)
+        owned_env = *env;
+    const std::vector<char *> argv = execVector(owned);
+    const std::vector<char *> envp = execVector(owned_env);
     const pid_t pid = ::fork();
     if (pid == 0) {
-        ::execv(argv[0], argv.data());
+        ::execve(argv[0], argv.data(), env ? envp.data() : environ);
         ::_exit(127);
     }
     return pid;
@@ -116,10 +150,14 @@ struct DaemonProc
     }
 };
 
-/** Spawn a daemon on an ephemeral port and wait for the port file. */
+/**
+ * Spawn a daemon on an ephemeral port (in environment @p env, when
+ * given) and wait for the port file.
+ */
 DaemonProc
 spawnDaemon(const fs::path &root, const std::string &name,
-            const std::vector<std::string> &extra_args = {})
+            const std::vector<std::string> &extra_args = {},
+            const std::vector<std::string> *env = nullptr)
 {
     const std::string port_file = (root / (name + ".port")).string();
     std::vector<std::string> args = {
@@ -130,7 +168,7 @@ spawnDaemon(const fs::path &root, const std::string &name,
     args.insert(args.end(), extra_args.begin(), extra_args.end());
 
     DaemonProc daemon;
-    daemon.pid = spawnChild(args);
+    daemon.pid = spawnChild(args, env);
     for (int i = 0; i < 1000 && !fs::exists(port_file); ++i)
         ::usleep(10 * 1000);
     if (!fs::exists(port_file))
@@ -798,6 +836,68 @@ TEST(NetScheduler, MixedFleetMatchesLocalBytes)
     reapDaemon(d0);
     reapDaemon(d1);
     EXPECT_EQ(dist.workersUsed, 3);
+    EXPECT_EQ(sweepReportJson(dist, {}), sweepReportJson(local, {}));
+    fs::remove_all(root);
+}
+
+/**
+ * Report bytes do not depend on the matmul backend. The mask bakeoff's
+ * unmasked and masked PPO cells run on one local slot, one daemon
+ * forced onto the portable kernels and one left on its host's choice
+ * (AVX2+FMA where the CPU has it), and render the report workers=1
+ * renders in-process. Slots claim cells in order, so cell 1, the
+ * unmasked PPO cell, runs on the portable daemon. Its first 20 epochs
+ * end at a different accuracy when the portable kernels sum in another
+ * order; the full 54 would cost minutes in sanitizer builds.
+ */
+TEST(NetScheduler, MixedBackendFleetMatchesLocalBytes)
+{
+    const fs::path root = scratchDir("backends");
+
+    // examples/configs/mask_bakeoff.cfg without random_search, cut
+    // from 120 epochs to 20.
+    const SweepConfig cfg = parseSweepConfig(std::string(R"(
+num_sets = 1
+num_ways = 2
+attack_addr_s = 0
+attack_addr_e = 2
+victim_addr_s = 0
+victim_addr_e = 0
+victim_no_access_enable = true
+window_size = 10
+seed = 7
+ppo_seed = 21
+steps_per_epoch = 600
+minibatch_size = 100
+max_epochs = 20
+target_accuracy = 0.9
+eval_episodes = 100
+sweep.name = mask-bakeoff
+sweep.seeds = 7
+sweep.bakeoff_agents = ppo, ppo_masked
+sweep.masked_penalty = 0.02
+)"));
+    const std::vector<SweepCell> cells = expandSweepGrid(cfg);
+    ASSERT_EQ(cells.size(), 3u);
+    ASSERT_EQ(cells[1].label, "guessing_game/lru/s7/ppo");
+    const SweepReport local = runSweepCells(cfg.name, cells, 1);
+
+    const std::vector<std::string> portable_env = matBackendEnv(true);
+    const std::vector<std::string> native_env = matBackendEnv(false);
+    DaemonProc portable = spawnDaemon(root, "portable", {}, &portable_env);
+    DaemonProc native = spawnDaemon(root, "native", {}, &native_env);
+    DistSweepOptions opts;
+    opts.processes = 1;
+    opts.runnerPath = kDaemon;
+    opts.workDir = (root / "work").string();
+    opts.endpoints = {portable.endpoint(), native.endpoint()};
+
+    const SweepReport dist = runSweepCellsDist(cfg.name, cells, opts);
+    reapDaemon(portable);
+    reapDaemon(native);
+    EXPECT_EQ(dist.workersUsed, 3);
+    for (const SweepCellResult &row : dist.cells)
+        EXPECT_EQ(row.attempts, 1) << row.cell.label;
     EXPECT_EQ(sweepReportJson(dist, {}), sweepReportJson(local, {}));
     fs::remove_all(root);
 }

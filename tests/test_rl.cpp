@@ -47,23 +47,25 @@ TEST(Mat, TransposedVariantsAgree)
     for (std::size_t i = 0; i < b.size(); ++i)
         b.data()[i] = static_cast<float>(rng.gaussian());
 
-    // matmulTransB(a, b^T) == matmul(a, b)
+    // linearForwardInto(a, b^T, 0) == matmul(a, b)
     Matrix bt(5, 4);
     for (std::size_t r = 0; r < 4; ++r)
         for (std::size_t c = 0; c < 5; ++c)
             bt(c, r) = b(r, c);
     const Matrix c1 = matmul(a, b);
-    const Matrix c2 = matmulTransB(a, bt);
+    Matrix c2;
+    linearForwardInto(c2, a, bt, std::vector<float>(5, 0.0f), false);
     ASSERT_EQ(c1.rows(), c2.rows());
     for (std::size_t i = 0; i < c1.size(); ++i)
         EXPECT_NEAR(c1.data()[i], c2.data()[i], 1e-4);
 
-    // matmulTransA(a^T stored as a, b) == a^T b
+    // matmulTransAInto(a, a) == a^T a
     Matrix at(4, 3);
     for (std::size_t r = 0; r < 3; ++r)
         for (std::size_t c = 0; c < 4; ++c)
             at(c, r) = a(r, c);
-    const Matrix c3 = matmulTransA(a, Matrix(a));  // a^T a
+    Matrix c3;
+    matmulTransAInto(c3, a, a);
     const Matrix c4 = matmul(at, a);
     for (std::size_t i = 0; i < c3.size(); ++i)
         EXPECT_NEAR(c3.data()[i], c4.data()[i], 1e-4);
